@@ -68,7 +68,6 @@ from pnpml.solver import (
     build_preconditioner,
     pcg_solve,
     recover_odd,
-    schur_apply,
     solve_system,
 )
 

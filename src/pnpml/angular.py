@@ -20,6 +20,7 @@ __all__ = [
     "AngularCouplings",
     "real_sph_harm",
     "build_basis",
+    "degree_groups",
     "sphere_quadrature",
     "quadrature_for_order",
     "coupling_matrices",
@@ -84,6 +85,29 @@ class AngularBasis:
     def odd_degrees(self) -> np.ndarray:
         return np.array([l for l, _ in self.odd_indices], dtype=int)
 
+    def z_even(self) -> "AngularBasis":
+        """The same-order basis restricted to the modes with l + |m| even,
+        i.e. the harmonics unchanged by the reflection s_z -> -s_z.
+
+        T_x and T_y never couple this class to its complement, so for
+        z-invariant problems each class is an independent system."""
+        return self._z_class(0)
+
+    def z_odd(self) -> "AngularBasis":
+        """The complement of :meth:`z_even`: modes with l + |m| odd."""
+        return self._z_class(1)
+
+    def positions(self, sub: "AngularBasis") -> tuple[np.ndarray, np.ndarray]:
+        """Positions in this basis of the even and of the odd modes of a
+        sub-basis such as :meth:`z_even`."""
+        return (_positions(self.even_indices, sub.even_indices),
+                _positions(self.odd_indices, sub.odd_indices))
+
+    def _z_class(self, parity: int) -> "AngularBasis":
+        keep = lambda idx: tuple((l, m) for l, m in idx if (l + abs(m)) % 2 == parity)
+        return AngularBasis(order=self.order, even_indices=keep(self.even_indices),
+                            odd_indices=keep(self.odd_indices))
+
     def evaluate_even(self, directions: np.ndarray) -> np.ndarray:
         """Table of even basis values, shape (n_dirs, n_plus)."""
         return np.column_stack([real_sph_harm(l, m, directions)
@@ -94,6 +118,14 @@ class AngularBasis:
                                 for l, m in self.odd_indices])
 
 
+def _positions(full, sub) -> np.ndarray:
+    where = {idx: k for k, idx in enumerate(full)}
+    missing = [idx for idx in sub if idx not in where]
+    if missing:
+        raise ValueError(f"modes {missing} are not in the basis")
+    return np.array([where[idx] for idx in sub], dtype=int)
+
+
 def build_basis(N: int) -> AngularBasis:
     """Build the order-N basis index sets.  N must be odd (the parity-coupling
     property s * even ⊂ odd^3 requires it)."""
@@ -102,6 +134,13 @@ def build_basis(N: int) -> AngularBasis:
     even = tuple((l, m) for l in range(0, N + 1, 2) for m in range(-l, l + 1))
     odd = tuple((l, m) for l in range(1, N + 1, 2) for m in range(-l, l + 1))
     return AngularBasis(order=N, even_indices=even, odd_indices=odd)
+
+
+def degree_groups(degrees: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Positions of the modes of each degree, as (l, positions) pairs in
+    increasing l.  Weights that depend only on the degree are applied once
+    per group."""
+    return [(int(l), np.flatnonzero(degrees == l)) for l in np.unique(degrees)]
 
 
 @dataclass(frozen=True)

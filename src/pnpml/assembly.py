@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix, diags, identity, kron
 
-from pnpml.angular import AngularBasis, AngularCouplings, quadrature_for_order
+from pnpml.angular import AngularBasis, AngularCouplings, degree_groups, quadrature_for_order
 from pnpml.mesh import INTERIOR, Mesh2D, boundary_mass_matrix
 from pnpml.pml import TransportCoefficients
 
@@ -85,7 +85,7 @@ def assemble_even_mass(mesh: Mesh2D, coeffs: TransportCoefficients,
         warnings.warn("collision coercivity gamma <= 0: the even mass block "
                       "may be singular", stacklevel=2)
     blocks = {}
-    for l in sorted({l for l, _ in basis.even_indices}):
+    for l, _ in degree_groups(basis.even_degrees()):
         weight = coeffs.mu - coeffs.sigma_for_degree(l)
         blocks[l] = p1_mass(mesh, weight=weight)
     return blocks
@@ -146,9 +146,7 @@ class BlockOperator:
     c_diag: np.ndarray  # (nt, n_minus)
 
     def __post_init__(self):
-        degrees = self.basis.even_degrees()
-        self._mode_groups = [(l, np.flatnonzero(degrees == l))
-                             for l in sorted(set(degrees.tolist()))]
+        self.mode_groups = degree_groups(self.basis.even_degrees())
 
     @property
     def n_even(self) -> int:
@@ -160,7 +158,7 @@ class BlockOperator:
 
     def apply_mass(self, u_even: np.ndarray) -> np.ndarray:
         out = np.empty_like(u_even)
-        for l, cols in self._mode_groups:
+        for l, cols in self.mode_groups:
             out[:, cols] = self.mass_blocks[l] @ u_even[:, cols]
         return out
 
@@ -183,12 +181,23 @@ class BlockOperator:
                                     "the elimination is singular")
         return v_odd / self.c_diag
 
+    def restrict(self, sub_basis: AngularBasis) -> "BlockOperator":
+        """The operator on a subset of the angular modes, such as one z-parity
+        class (:meth:`AngularBasis.z_even`).  Mesh, mass blocks, boundary and
+        gradient factors are shared; the rows and columns of T_x, T_y and the
+        columns of the odd diagonal are sliced."""
+        even, odd = self.basis.positions(sub_basis)
+        return BlockOperator(
+            mesh=self.mesh, basis=sub_basis, mass_blocks=self.mass_blocks,
+            boundary=self.boundary, g_x=self.g_x, g_y=self.g_y,
+            t_x=self.t_x[odd][:, even], t_y=self.t_y[odd][:, even],
+            c_diag=self.c_diag[:, odd])
+
     def nnz_counts(self) -> dict[str, int]:
-        degrees = self.basis.even_degrees()
-        nnz_m = int(sum(self.mass_blocks[int(l)].nnz for l in degrees))
+        """Stored entries of each block in assembled (Kronecker) form."""
+        nnz_m = sum(self.mass_blocks[l].nnz * cols.size for l, cols in self.mode_groups)
         nnz_r = int(self.boundary.nnz) * self.basis.n_plus
-        nnz_b = int(sum((kron(g, t)).nnz
-                        for g, t in ((self.g_x, self.t_x), (self.g_y, self.t_y))))
+        nnz_b = self.g_x.nnz * self.t_x.nnz + self.g_y.nnz * self.t_y.nnz
         return {"mass": nnz_m, "boundary": nnz_r, "transport": nnz_b,
                 "odd": int(np.count_nonzero(self.c_diag))}
 
@@ -251,13 +260,11 @@ def explicit_matrices(op: BlockOperator):
     j * n_plus + e, odd dof (T, o) to T * n_minus + o.
     """
     basis = op.basis
-    degrees = basis.even_degrees()
-
-    m_expl = None
-    for l in sorted(set(degrees.tolist())):
-        sel = diags((degrees == l).astype(float))
-        term = kron(op.mass_blocks[int(l)], sel, format="csr")
-        m_expl = term if m_expl is None else m_expl + term
+    m_expl = csr_matrix((op.n_even, op.n_even))
+    for l, cols in op.mode_groups:
+        sel = np.zeros(basis.n_plus)
+        sel[cols] = 1.0
+        m_expl = m_expl + kron(op.mass_blocks[l], diags(sel), format="csr")
     r_expl = kron(op.boundary, identity(basis.n_plus), format="csr")
     b_expl = (kron(op.g_x, op.t_x, format="csr")
               + kron(op.g_y, op.t_y, format="csr"))

@@ -46,7 +46,6 @@ from pnpml.solver import (
     ConvergenceError,
     NumericalError,
     SolveReport,
-    build_preconditioner,
     solve_system,
 )
 
@@ -273,7 +272,6 @@ class _ProblemCache:
         coeffs = extend_coefficients(mesh, self.mu, self.kernel, self.source, a=a)
         blocks = build_operator(mesh, basis, coup, coeffs)
         q_plus, q_minus = project_source(mesh, basis, self.source, isotropic=True)
-        pre = build_preconditioner(blocks, precond_kind)
         params = {
             "n": n, "h": mesh.h, "level": level, "exp_al": exp_al,
             "a": a, "ell": self.ell, "eta": self.eta, "tol": tol,
@@ -282,7 +280,7 @@ class _ProblemCache:
             "n_minus": basis.n_minus, "coefficient_sampling": "centroid",
         }
         params.update({f"config.{k}": v for k, v in self.cfg.data.items()})
-        fld, report = solve_system(blocks, q_plus, q_minus, preconditioner=pre,
+        fld, report = solve_system(blocks, q_plus, q_minus, precond=precond_kind,
                                    tol=tol, max_iter=max_iter, params=params)
         return CaseResult(field=fld, report=report, mesh=mesh, basis=basis,
                           blocks=blocks)
@@ -361,6 +359,10 @@ def convergence_study(cfg: RunConfig, threads: int = 1):
 
     cases = [(n, level, exp_al) for n in sweep_n for level in levels
              for exp_al in exp_als]
+    # the cache fills lazily without a lock: fill it before any worker starts
+    for n, level, _ in cases:
+        cache.mesh(level)
+        cache.angular(n)
 
     def run_one(args):
         n, level, exp_al = args

@@ -84,8 +84,8 @@ def extend_coefficients(mesh: Mesh2D, mu, kernel, source, a: float) -> Transport
 
     if callable(kernel):
         sig0 = _sample(kernel, cent)
-        if np.any(sig0 < 0):
-            raise ModelError("scattering kernel must be nonnegative")
+        if np.any(sig0 < 0) or np.any(~np.isfinite(sig0)):
+            raise ModelError("scattering kernel must be nonnegative and finite")
         sigma = sig0[:, None].copy()
     else:
         coeffs = np.atleast_1d(np.asarray(kernel, dtype=float))
@@ -94,6 +94,8 @@ def extend_coefficients(mesh: Mesh2D, mu, kernel, source, a: float) -> Transport
         sigma = np.tile(coeffs, (mesh.n_triangles, 1))
 
     src = _sample(source, cent)
+    if np.any(~np.isfinite(src)):
+        raise ModelError("source must be finite")
 
     mu_tri = np.where(interior, mu_tri, a)
     sigma[~interior, :] = 0.0

@@ -5,6 +5,11 @@ the symmetric positive definite operator S = M + R + B^T C^{-1} B on the even
 unknowns.  S is applied matrix-free; the system is solved by preconditioned
 conjugate gradients with either a point-Jacobi or a per-mode spatial
 block preconditioner.
+
+For z-invariant problems the system splits exactly into two independent
+z-parity classes (angular modes with l + |m| even or odd).  ``solve_system``
+solves each class that carries load on its own restricted operator and leaves
+the other class at its exact solution, zero.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import numpy as np
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
+from pnpml.angular import degree_groups
 from pnpml.assembly import (
     BlockOperator,
     Field,
@@ -31,7 +37,6 @@ __all__ = [
     "SolveReport",
     "NumericalError",
     "ConvergenceError",
-    "schur_apply",
     "schur_rhs",
     "pcg_solve",
     "recover_odd",
@@ -76,10 +81,6 @@ class SchurOperator:
     __call__ = apply
 
 
-def schur_apply(op: SchurOperator, x: np.ndarray) -> np.ndarray:
-    return op.apply(x)
-
-
 def schur_rhs(blocks: BlockOperator, q_plus: np.ndarray, q_minus: np.ndarray) -> np.ndarray:
     """Right-hand side of the eliminated system: q+ + B^T C^{-1} q-."""
     rhs = q_plus + blocks.apply_transport_t(blocks.solve_odd_diag(q_minus))
@@ -98,15 +99,13 @@ def _transport_weight_tables(blocks: BlockOperator):
     if np.any(blocks.c_diag == 0):
         raise NumericalError("odd collision block is singular; cannot form "
                              "the Schur preconditioner")
-    odd_l = basis.odd_degrees()
     tx = blocks.t_x.toarray()
     ty = blocks.t_y.toarray()
     nt = blocks.mesh.n_triangles
     sxx = np.zeros((nt, basis.n_plus))
     sxy = np.zeros_like(sxx)
     syy = np.zeros_like(sxx)
-    for l in sorted(set(odd_l.tolist())):
-        rows = np.flatnonzero(odd_l == l)
+    for _, rows in degree_groups(basis.odd_degrees()):
         inv_c = 1.0 / blocks.c_diag[:, rows[0]]  # same weight for all m of this l
         pxx = np.sum(tx[rows] ** 2, axis=0)
         pxy = np.sum(tx[rows] * ty[rows], axis=0)
@@ -126,10 +125,8 @@ class JacobiPreconditioner:
         basis = blocks.basis
         nv = blocks.mesh.n_vertices
         diag = np.zeros((nv, basis.n_plus))
-        degrees = basis.even_degrees()
-        for l in sorted(set(degrees.tolist())):
-            cols = np.flatnonzero(degrees == l)
-            diag[:, cols] = blocks.mass_blocks[int(l)].diagonal()[:, None]
+        for l, cols in blocks.mode_groups:
+            diag[:, cols] = blocks.mass_blocks[l].diagonal()[:, None]
         diag += blocks.boundary.diagonal()[:, None]
 
         sxx, sxy, syy = _transport_weight_tables(blocks)
@@ -258,9 +255,10 @@ def pcg_solve(apply_s, rhs: np.ndarray, preconditioner=None, tol: float = 1e-7,
     for k in range(1, max_iter + 1):
         sp = matvec(p)
         curvature = float(p @ sp)
-        if curvature <= 0.0:
+        if not curvature > 0.0:  # also trips on NaN
             raise NumericalError(
-                f"nonpositive curvature at iteration {k}: operator is not SPD")
+                f"curvature {curvature} at iteration {k}: operator is not SPD "
+                "or the data are not finite")
         alpha = rz / curvature
         x += alpha * p
         if k % 50 == 0:
@@ -295,17 +293,41 @@ def pcg_solve(apply_s, rhs: np.ndarray, preconditioner=None, tol: float = 1e-7,
 
 
 def solve_system(blocks: BlockOperator, q_plus: np.ndarray, q_minus: np.ndarray,
-                 preconditioner=None, tol: float = 1e-7, max_iter: int = 10000,
+                 precond: str | None = None, tol: float = 1e-7, max_iter: int = 10000,
                  params: dict | None = None) -> tuple[Field, SolveReport]:
-    """End-to-end solve of the mixed system: eliminate, run PCG, recover."""
-    op = SchurOperator(blocks)
-    rhs = schur_rhs(blocks, q_plus, q_minus)
-    x, report = pcg_solve(op, rhs, preconditioner=preconditioner, tol=tol,
-                          max_iter=max_iter, params=params,
-                          dofs_odd=blocks.n_odd)
-    u_plus = x.reshape(blocks.mesh.n_vertices, blocks.basis.n_plus)
-    u_minus = recover_odd(blocks, q_minus, u_plus)
-    return Field(even=u_plus, odd=u_minus), report
+    """End-to-end solve of the mixed system: eliminate, run PCG, recover.
+
+    Each z-parity class with a nonzero load is solved on its own restricted
+    operator, with a preconditioner of kind ``precond`` (None, JACOBI or
+    BLOCK_SPATIAL) built for that class.  A class without load is skipped:
+    its solution is exactly zero.  The returned field has the full shape.
+    The report sums iterations and PCG wall time over the solved classes,
+    concatenates their residual histories, and counts the dofs of the full
+    P_N system.
+    """
+    if precond not in (None, JACOBI, BLOCK_SPATIAL):
+        raise ValueError(f"unknown preconditioner kind: {precond!r}")
+    basis = blocks.basis
+    fld = Field.zeros(blocks.mesh, basis)
+    report = SolveReport(iterations=0, residual_history=[], wall_time=0.0,
+                         dofs_even=blocks.n_even, dofs_odd=blocks.n_odd,
+                         converged=True, parameters=dict(params or {}))
+    for sub_basis in (basis.z_even(), basis.z_odd()):
+        even, odd = basis.positions(sub_basis)
+        qp, qm = q_plus[:, even], q_minus[:, odd]
+        if not (qp.any() or qm.any()):
+            continue
+        sub = blocks.restrict(sub_basis)
+        pre = None if precond is None else build_preconditioner(sub, precond)
+        x, part = pcg_solve(SchurOperator(sub), schur_rhs(sub, qp, qm),
+                            preconditioner=pre, tol=tol, max_iter=max_iter)
+        u_plus = x.reshape(blocks.mesh.n_vertices, sub_basis.n_plus)
+        fld.even[:, even] = u_plus
+        fld.odd[:, odd] = recover_odd(sub, qm, u_plus)
+        report.iterations += part.iterations
+        report.residual_history += part.residual_history
+        report.wall_time += part.wall_time
+    return fld, report
 
 
 def triple_norm2(blocks: BlockOperator, fld: Field) -> float:

@@ -235,10 +235,8 @@ def test_criterion_6_pure_absorption_cross_validation():
         coeffs = extend_coefficients(mesh, mu, 0.0, src, a=a)
         blocks = build_operator(mesh, basis, coup, coeffs)
         qp, qm = project_source(mesh, basis, src, isotropic=True)
-        from pnpml.solver import BLOCK_SPATIAL, build_preconditioner
-        fld, _ = solve_system(blocks, qp, qm,
-                              preconditioner=build_preconditioner(blocks, BLOCK_SPATIAL),
-                              tol=1e-9)
+        from pnpml.solver import BLOCK_SPATIAL
+        fld, _ = solve_system(blocks, qp, qm, precond=BLOCK_SPATIAL, tol=1e-9)
         mean_vertex = angular_mean(fld, basis)
         # value at each base interior centroid: follow the central child chain
         tri_idx = tri_map.copy()

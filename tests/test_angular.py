@@ -4,6 +4,7 @@ import pytest
 from pnpml.angular import (
     build_basis,
     coupling_matrices,
+    degree_groups,
     kernel_function,
     quadrature_for_order,
     real_sph_harm,
@@ -85,6 +86,38 @@ class TestBasis:
         assert list(b.odd_indices) == sorted(set(b.odd_indices))
         assert b.n_plus + b.n_minus == (b.order + 1) ** 2
 
+    def test_z_parity_classes_n9(self):
+        b = build_basis(9)
+        ze, zo = b.z_even(), b.z_odd()
+        assert (ze.n_plus, ze.n_minus) == (25, 30)
+        assert (zo.n_plus, zo.n_minus) == (20, 25)
+        assert ze.order == zo.order == 9
+        assert all((l + abs(m)) % 2 == 0 for l, m in ze.even_indices + ze.odd_indices)
+        # the two classes partition the basis, and build_basis keeps full counts
+        assert sorted(ze.even_indices + zo.even_indices) == list(b.even_indices)
+        assert sorted(ze.odd_indices + zo.odd_indices) == list(b.odd_indices)
+        assert (b.n_plus, b.n_minus) == (45, 55)
+
+    def test_positions_of_sub_basis(self):
+        b = build_basis(5)
+        ze = b.z_even()
+        even, odd = b.positions(ze)
+        assert [b.even_indices[k] for k in even] == list(ze.even_indices)
+        assert [b.odd_indices[k] for k in odd] == list(ze.odd_indices)
+        with pytest.raises(ValueError):
+            ze.positions(b)
+
+    def test_degree_groups_on_sub_basis(self):
+        ze = build_basis(7).z_even()
+        degrees = ze.odd_degrees()
+        groups = degree_groups(degrees)
+        assert [l for l, _ in groups] == [1, 3, 5, 7]
+        for l, pos in groups:
+            assert pos.size == l + 1  # the odd |m| in 1..l, both signs
+            assert np.all(degrees[pos] == l)
+        assert np.array_equal(np.sort(np.concatenate([p for _, p in groups])),
+                              np.arange(ze.n_minus))
+
 
 class TestQuadrature:
     def test_weight_sum(self):
@@ -147,6 +180,19 @@ class TestCouplings:
         for mat, cap in ((coup.t_x, 4), (coup.t_y, 4), (coup.t_z, 2)):
             per_row = np.diff(mat.indptr)
             assert per_row.max() <= cap
+
+    @pytest.mark.parametrize("N", [5, 9, 15])
+    def test_tx_ty_never_cross_z_parity(self, N):
+        # s_x and s_y are even under s_z -> -s_z, so they keep l + |m| parity
+        basis = build_basis(N)
+        coup = coupling_matrices(basis, quadrature_for_order(N))
+        z_e = np.array([(l + abs(m)) % 2 for l, m in basis.even_indices])
+        z_o = np.array([(l + abs(m)) % 2 for l, m in basis.odd_indices])
+        cross = z_o[:, None] != z_e[None, :]
+        for mat in (coup.t_x, coup.t_y):
+            dense = mat.toarray()
+            assert np.all(dense[cross] == 0.0)
+            assert np.any(dense[~cross] != 0.0)
 
     def test_tz_matches_recurrence_oracle(self):
         basis = build_basis(7)

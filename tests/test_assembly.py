@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import kron
 
 from pnpml.angular import build_basis, coupling_matrices, quadrature_for_order
 from pnpml.assembly import (
@@ -233,6 +234,48 @@ class TestKroneckerConsistency:
         # boundary block touches only boundary vertices
         nb = mesh.boundary_vertices.size
         assert counts["boundary"] <= 3 * nb * basis.n_plus
+
+    @pytest.mark.parametrize("N", [1, 3, 5])
+    def test_transport_count_matches_kronecker_product(self, N):
+        _, mesh, coeffs, basis, coup = rect_setup(h=0.5, N=N)
+        op = build_operator(mesh, basis, coup, coeffs)
+        expect = kron(op.g_x, op.t_x).nnz + kron(op.g_y, op.t_y).nnz
+        assert op.nnz_counts()["transport"] == expect
+
+
+class TestRestrict:
+    def test_shares_spatial_factors(self):
+        _, mesh, coeffs, basis, coup = rect_setup(h=1.0, N=5)
+        op = build_operator(mesh, basis, coup, coeffs)
+        sub = op.restrict(basis.z_even())
+        assert sub.mesh is op.mesh and sub.mass_blocks is op.mass_blocks
+        assert sub.boundary is op.boundary
+        assert sub.g_x is op.g_x and sub.g_y is op.g_y
+        assert sub.t_x.shape == (sub.basis.n_minus, sub.basis.n_plus)
+        assert sub.c_diag.shape == (mesh.n_triangles, sub.basis.n_minus)
+
+    @pytest.mark.parametrize("N", [3, 5])
+    def test_blocks_are_the_class_submatrices(self, N):
+        spec = GeometrySpec(inner=Rect(0, 0, 1, 1), outer=Rect(-1, -1, 2, 2))
+        mesh = build_mesh(spec, 1.0)
+        basis = build_basis(N)
+        coup = coupling_matrices(basis, quadrature_for_order(N))
+        coeffs = extend_coefficients(mesh, 2.0, [1.0, 0.5, 0.2], 1.0, a=1.5)
+        op = build_operator(mesh, basis, coup, coeffs)
+        full = [m.toarray() for m in explicit_matrices(op)]
+        for sub_basis in (basis.z_even(), basis.z_odd()):
+            sub = op.restrict(sub_basis)
+            even, odd = basis.positions(sub_basis)
+            # flattened dofs are row-major over (spatial, angular)
+            e_dofs = (np.arange(mesh.n_vertices)[:, None] * basis.n_plus + even).ravel()
+            o_dofs = (np.arange(mesh.n_triangles)[:, None] * basis.n_minus + odd).ravel()
+            rows = (e_dofs, e_dofs, o_dofs, o_dofs)
+            cols = (e_dofs, e_dofs, e_dofs, o_dofs)
+            for mat, big, r, c in zip(explicit_matrices(sub), full, rows, cols):
+                assert np.array_equal(mat.toarray(), big[np.ix_(r, c)])
+            counts = sub.nnz_counts()
+            assert counts["mass"] == explicit_matrices(sub)[0].nnz
+            assert counts["odd"] == mesh.n_triangles * sub_basis.n_minus
 
 
 class TestNorms:

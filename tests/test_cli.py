@@ -279,6 +279,17 @@ class TestMain:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_nan_source_fails_fast(self, tmp_path, monkeypatch):
+        import pnpml.solver
+
+        def no_pcg(*args, **kwargs):
+            raise AssertionError("PCG must not start on non-finite data")
+
+        monkeypatch.setattr(pnpml.solver, "pcg_solve", no_pcg)
+        path = self._write(tmp_path, EXAMPLE1.replace(
+            "physics.source = gaussian 0.75 0 5.0", "physics.source = constant nan"))
+        assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
+
     def test_convergence_failure_exit_code(self, tmp_path):
         path = self._write(tmp_path, EXAMPLE1 + "solver.max_iter = 2\nsolver.tol = 1e-13\n")
         assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 3

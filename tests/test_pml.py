@@ -75,6 +75,20 @@ class TestExtendCoefficients:
         with pytest.raises(ModelError):
             extend_coefficients(mesh, -1.0, 0.0, 1.0, a=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_source_rejected(self, bad):
+        mesh = build_mesh(example1_spec(), 0.1)
+        with pytest.raises(ModelError):
+            extend_coefficients(mesh, 1.0, 0.0, bad, a=1.0)
+        with pytest.raises(ModelError):
+            extend_coefficients(mesh, 1.0, 0.0,
+                                lambda p: np.where(p[:, 0] > 0.5, bad, 1.0), a=1.0)
+
+    def test_non_finite_kernel_callable_rejected(self):
+        mesh = build_mesh(example1_spec(), 0.1)
+        with pytest.raises(ModelError):
+            extend_coefficients(mesh, 1.0, lambda p: np.full(p.shape[0], np.nan), 1.0, a=1.0)
+
     def test_spatially_varying_isotropic_kernel(self):
         mesh = build_mesh(example1_spec(), 0.1)
 

@@ -123,6 +123,17 @@ class TestPCG:
         with pytest.raises(NumericalError):
             pcg_solve(lambda v: -v, np.ones(5), tol=1e-10)
 
+    def test_nan_stops_at_first_iteration(self):
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return v
+
+        with pytest.raises(NumericalError):
+            pcg_solve(matvec, np.full(5, np.nan), tol=1e-10, max_iter=1000)
+        assert len(calls) == 1
+
     def test_max_iter_exceeded(self):
         _, _, blocks, qp, qm = small_instance()
         op = SchurOperator(blocks)
@@ -223,8 +234,7 @@ class TestTrends:
         iters = {}
         for exp_al in (15 / 16, 1 / 8):
             _, _, blocks, qp, qm = desk_instance(h=0.2, N=3, exp_al=exp_al)
-            pre = build_preconditioner(blocks, BLOCK_SPATIAL)
-            _, rep = solve_system(blocks, qp, qm, preconditioner=pre, tol=1e-7)
+            _, rep = solve_system(blocks, qp, qm, precond=BLOCK_SPATIAL, tol=1e-7)
             iters[exp_al] = rep.iterations
         assert iters[1 / 8] < iters[15 / 16]
 
@@ -241,8 +251,7 @@ class TestTrends:
             coeffs = extend_coefficients(mesh, 10.1, 10.0, src, a=a)
             blocks = build_operator(mesh, basis, coup, coeffs)
             qp, qm = project_source(mesh, basis, src, isotropic=True)
-            pre = build_preconditioner(blocks, BLOCK_SPATIAL)
-            _, rep = solve_system(blocks, qp, qm, preconditioner=pre, tol=1e-7)
+            _, rep = solve_system(blocks, qp, qm, precond=BLOCK_SPATIAL, tol=1e-7)
             counts.append(rep.iterations)
             mesh = uniform_refine(mesh)
         print(f"\nblock_spatial iterations across refinements: {counts}")
@@ -261,8 +270,7 @@ class TestTrends:
             coeffs = extend_coefficients(mesh, gamma, 0.0, src, a=gamma)
             blocks = build_operator(mesh, basis, coup, coeffs)
             qp, qm = project_source(mesh, basis, src, isotropic=True)
-            pre = build_preconditioner(blocks, BLOCK_SPATIAL)
-            fld, _ = solve_system(blocks, qp, qm, preconditioner=pre, tol=1e-9)
+            fld, _ = solve_system(blocks, qp, qm, precond=BLOCK_SPATIAL, tol=1e-9)
             # ||q||_{L2(D x S)} for the isotropic source
             cent = mesh.centroids
             q_tri = src(cent)
@@ -273,3 +281,70 @@ class TestTrends:
         # linear growth in 1/gamma with a factor-2 envelope
         assert ratios[0.1] <= 2 * 10 * ratios[1.0]
         assert ratios[1.0] <= 2 * 10 * ratios[10.0]
+
+
+class TestZParityClasses:
+    @pytest.mark.parametrize("kind", [JACOBI, BLOCK_SPATIAL])
+    def test_matches_full_operator_solve(self, kind, monkeypatch):
+        _, basis, blocks, qp, qm = desk_instance(h=0.2, N=5)
+        op = SchurOperator(blocks)
+        x, rep_full = pcg_solve(op, schur_rhs(blocks, qp, qm),
+                                preconditioner=build_preconditioner(blocks, kind), tol=1e-7)
+        u_full = x.reshape(blocks.mesh.n_vertices, basis.n_plus)
+        v_full = recover_odd(blocks, qm, u_full)
+
+        import pnpml.solver
+        built = []
+        real_build = pnpml.solver.build_preconditioner
+
+        def recording_build(b, k):
+            built.append(b.basis.n_plus)
+            return real_build(b, k)
+
+        monkeypatch.setattr(pnpml.solver, "build_preconditioner", recording_build)
+        fld, rep = solve_system(blocks, qp, qm, precond=kind, tol=1e-7)
+
+        # the isotropic load only reaches the z-even class
+        assert built == [basis.z_even().n_plus]
+        assert rep.iterations == rep_full.iterations
+        assert (rep.dofs_even, rep.dofs_odd) == (blocks.n_even, blocks.n_odd)
+        even, odd = basis.positions(basis.z_odd())
+        assert np.all(fld.even[:, even] == 0.0) and np.all(fld.odd[:, odd] == 0.0)
+        assert np.linalg.norm(fld.even - u_full) <= 1e-12 * np.linalg.norm(u_full)
+        assert np.linalg.norm(fld.odd - v_full) <= 1e-12 * np.linalg.norm(v_full)
+
+    @pytest.mark.parametrize("N", [1, 3])
+    @pytest.mark.parametrize("angular", ["z_odd_only", "both_classes"])
+    def test_anisotropic_load_matches_dense_block_solve(self, N, angular):
+        mesh, basis, blocks, _, _ = small_instance(N)
+        offset = 0.0 if angular == "z_odd_only" else 1.0
+
+        def q(r, s):
+            return (1.0 + r[0]) * (offset + s[2] + s[0] * s[2])
+
+        qp, qm = project_source(mesh, basis, q, isotropic=False)
+        m_e, r_e, b_e, c_e = explicit_matrices(blocks)
+        n_even, n_odd = blocks.n_even, blocks.n_odd
+        full = np.zeros((n_even + n_odd, n_even + n_odd))
+        full[:n_even, :n_even] = (m_e + r_e).toarray()
+        full[:n_even, n_even:] = -b_e.T.toarray()
+        full[n_even:, :n_even] = b_e.toarray()
+        full[n_even:, n_even:] = c_e.toarray()
+        dense = np.linalg.solve(full, np.concatenate([qp.ravel(), qm.ravel()]))
+
+        fld, rep = solve_system(blocks, qp, qm, precond=BLOCK_SPATIAL, tol=1e-13)
+        approx = np.concatenate([fld.even.ravel(), fld.odd.ravel()])
+        assert np.max(np.abs(approx - dense)) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
+        assert rep.converged and rep.final_residual <= 1e-13
+
+    def test_zero_load_solves_nothing(self):
+        _, _, blocks, qp, qm = small_instance()
+        fld, rep = solve_system(blocks, np.zeros_like(qp), np.zeros_like(qm),
+                                precond=BLOCK_SPATIAL)
+        assert rep.iterations == 0 and rep.residual_history == []
+        assert np.all(fld.even == 0.0) and np.all(fld.odd == 0.0)
+
+    def test_unknown_kind_rejected(self):
+        _, _, blocks, qp, qm = small_instance()
+        with pytest.raises(ValueError):
+            solve_system(blocks, qp, qm, precond="multigrid")
