@@ -22,7 +22,6 @@ from pnpml.angular import (
 from pnpml.assembly import (
     BlockOperator,
     Field,
-    assemble_boundary,
     assemble_even_mass,
     assemble_odd_diag,
     assemble_transport,
@@ -38,7 +37,6 @@ from pnpml.mesh import (
     GeometrySpec,
     Mesh2D,
     Rect,
-    boundary_trace_dofs,
     build_mesh,
     load_mesh,
     ray_exit_distance,

@@ -29,7 +29,6 @@ __all__ = [
     "Field",
     "BlockOperator",
     "assemble_even_mass",
-    "assemble_boundary",
     "assemble_transport",
     "assemble_odd_diag",
     "project_source",
@@ -50,9 +49,6 @@ class Field:
 
     even: np.ndarray
     odd: np.ndarray
-
-    def copy(self) -> "Field":
-        return Field(self.even.copy(), self.odd.copy())
 
     @staticmethod
     def zeros(mesh: Mesh2D, basis: AngularBasis) -> "Field":
@@ -89,13 +85,6 @@ def assemble_even_mass(mesh: Mesh2D, coeffs: TransportCoefficients,
         weight = coeffs.mu - coeffs.sigma_for_degree(l)
         blocks[l] = p1_mass(mesh, weight=weight)
     return blocks
-
-
-def assemble_boundary(mesh: Mesh2D, basis: AngularBasis) -> csr_matrix:
-    """Boundary mass block; by angular orthonormality the same spatial block
-    serves every even mode."""
-    del basis  # the angular factor is the identity
-    return boundary_mass_matrix(mesh)
 
 
 def gradient_matrices(mesh: Mesh2D) -> tuple[csr_matrix, csr_matrix]:
@@ -209,7 +198,7 @@ def build_operator(mesh: Mesh2D, basis: AngularBasis, couplings: AngularCoupling
         mesh=mesh,
         basis=basis,
         mass_blocks=assemble_even_mass(mesh, coeffs, basis),
-        boundary=assemble_boundary(mesh, basis),
+        boundary=boundary_mass_matrix(mesh),
         g_x=g_x, g_y=g_y, t_x=t_x, t_y=t_y,
         c_diag=assemble_odd_diag(mesh, coeffs, basis),
     )

@@ -492,6 +492,8 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, NumericalError) as exc:
+        if isinstance(exc, ConvergenceError) and args.command in ("solve", "export"):
+            exc.report.append_to(_out_dir(cfg) / "run_log.txt")
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

@@ -10,6 +10,7 @@ edges and uniform refinement yields nested vertex sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ __all__ = [
     "p1_prolong",
     "p0_prolong",
     "ray_exit_distance",
-    "boundary_trace_dofs",
     "boundary_mass_matrix",
     "edge_local_mass",
     "submesh_interior",
@@ -221,7 +221,6 @@ class Mesh2D:
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.tags = np.ascontiguousarray(self.tags, dtype=np.uint8)
-        self._boundary = None
 
     @property
     def n_vertices(self) -> int:
@@ -246,7 +245,10 @@ class Mesh2D:
         a, b, c = self.corner_coords()
         return (a + b + c) / 3.0
 
-    def _build_boundary(self):
+    @cached_property
+    def _boundary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(edges, outward normals, lengths, owner triangles) of the outer
+        boundary, built on first use."""
         edges = {}
         for t_idx, tri in enumerate(self.triangles):
             for k in range(3):
@@ -265,25 +267,24 @@ class Mesh2D:
         tang = self.vertices[be[:, 1]] - self.vertices[be[:, 0]]
         lengths = np.linalg.norm(tang, axis=1)
         nrm = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
-        self._boundary = (be, nrm, lengths, owner)
+        return be, nrm, lengths, owner
 
     @property
     def boundary_edges(self) -> np.ndarray:
-        if self._boundary is None:
-            self._build_boundary()
         return self._boundary[0]
 
     @property
     def boundary_normals(self) -> np.ndarray:
-        if self._boundary is None:
-            self._build_boundary()
         return self._boundary[1]
 
     @property
     def boundary_lengths(self) -> np.ndarray:
-        if self._boundary is None:
-            self._build_boundary()
         return self._boundary[2]
+
+    @property
+    def boundary_owners(self) -> np.ndarray:
+        """The triangle that owns each boundary edge."""
+        return self._boundary[3]
 
     @property
     def boundary_vertices(self) -> np.ndarray:
@@ -514,11 +515,6 @@ def boundary_mass_matrix(mesh: Mesh2D) -> csr_matrix:
         vals += [loc[0, 0], loc[0, 1], loc[1, 0], loc[1, 1]]
     nv = mesh.n_vertices
     return csr_matrix((vals, (rows, cols)), shape=(nv, nv))
-
-
-def boundary_trace_dofs(mesh: Mesh2D) -> tuple[np.ndarray, csr_matrix]:
-    """Boundary vertex indices together with the boundary mass matrix."""
-    return mesh.boundary_vertices, boundary_mass_matrix(mesh)
 
 
 def submesh_interior(mesh: Mesh2D) -> tuple[Mesh2D, np.ndarray, np.ndarray]:

@@ -2,11 +2,12 @@
 and a discrete-ordinates source iteration with vacuum or reflective
 boundaries.
 
-Rays are traced through the triangulation once per ordinate set; absorption is
-integrated exactly per crossed triangle (piecewise-constant data) and smooth
-external sources by per-segment Gauss quadrature.  The traced geometry is
-frozen into sparse sweep matrices, so each source-iteration step reduces to a
-handful of matrix-vector products.
+Rays are traced through the triangulation once per planar direction, shared
+by every ordinate with that direction; absorption is integrated exactly per
+crossed triangle (piecewise-constant data) and smooth external sources by
+per-segment Gauss quadrature.  The traced geometry is frozen into sparse sweep
+matrices, so each source-iteration step reduces to a handful of matrix-vector
+products.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ __all__ = [
     "boundary_trace_norm",
 ]
 
-_SEG_GAUSS = roots_legendre(4)
+_gx, _gw = roots_legendre(4)
+# 4-point Gauss rule on a unit segment
+_GAUSS_NODES, _GAUSS_WEIGHTS = 0.5 * (_gx + 1.0), 0.5 * _gw
 VACUUM = "vacuum"
 REFLECT = "reflect"
 
@@ -84,10 +87,10 @@ class SampledField:
     mesh: Mesh2D
 
 
-def _ray_triangle_intervals(mesh: Mesh2D, starts: np.ndarray, u: np.ndarray,
-                            chunk: int = 128):
+def _ray_triangle_intervals(mesh: Mesh2D, starts: np.ndarray, u: np.ndarray):
     """Parameter intervals [lo, hi] where each backward ray start - t*u lies
-    inside each triangle.  Yields (ray slice, lo, hi) per chunk."""
+    inside each triangle.  Yields (lo, hi), each (rays, nt), per chunk of
+    128 rays."""
     a, b, c = mesh.corner_coords()
     # half-plane data: edge (p, q) of a CCW triangle keeps the interior where
     # cross(q - p, x - p) >= 0
@@ -98,8 +101,8 @@ def _ray_triangle_intervals(mesh: Mesh2D, starts: np.ndarray, u: np.ndarray,
 
     big = 1e30
     n = starts.shape[0]
-    for s0 in range(0, n, chunk):
-        r = starts[s0:s0 + chunk]     # (m, 2)
+    for s0 in range(0, n, 128):
+        r = starts[s0:s0 + 128]       # (m, 2)
         d = r[None, None, :, :] - ps[:, :, None, :]  # (3, nt, m, 2)
         c0 = e[..., None, 0] * d[..., 1] - e[..., None, 1] * d[..., 0]  # (3, nt, m)
         # inside condition: c0 + t * cu >= 0
@@ -117,7 +120,7 @@ def _ray_triangle_intervals(mesh: Mesh2D, starts: np.ndarray, u: np.ndarray,
         hi = np.where(par & (c0 < -1e-12), -big, hi)
         lo_all = lo.max(axis=0).T     # (m, nt)
         hi_all = hi.min(axis=0).T
-        yield slice(s0, s0 + r.shape[0]), lo_all, hi_all
+        yield lo_all, hi_all
 
 
 def _segments_for_ray(lo: np.ndarray, hi: np.ndarray, tol: float):
@@ -125,19 +128,97 @@ def _segments_for_ray(lo: np.ndarray, hi: np.ndarray, tol: float):
     resolved at segment midpoints so overlap/gap roundoff cannot double-count."""
     cand = np.flatnonzero(hi > lo + tol)
     if cand.size == 0:
-        return [], 0.0
+        return cand, np.empty(0), np.empty(0)
     pts = np.unique(np.concatenate([lo[cand], hi[cand]]))
     pts = pts[pts >= -tol]
-    segs = []
-    for t0, t1 in zip(pts[:-1], pts[1:]):
-        if t1 - t0 <= tol:
-            continue
-        mid = 0.5 * (t0 + t1)
-        inside = cand[(lo[cand] <= mid) & (mid <= hi[cand])]
-        if inside.size:
-            segs.append((int(inside[0]), float(max(t0, 0.0)), float(t1)))
-    t_exit = segs[-1][2] if segs else 0.0
-    return segs, t_exit
+    keep = np.diff(pts) > tol
+    t0, t1 = pts[:-1][keep], pts[1:][keep]
+    mid = 0.5 * (t0 + t1)
+    inside = (lo[cand, None] <= mid) & (mid <= hi[cand, None])  # (ncand, nseg)
+    found = inside.any(axis=0)
+    tri = cand[inside.argmax(axis=0)]
+    return tri[found], np.maximum(t0[found], 0.0), t1[found]
+
+
+@dataclass(frozen=True)
+class _Trace:
+    """Backward rays start - t*u cut into per-triangle segments, stored flat
+    in ray order and, along each ray, in order of increasing t."""
+
+    ray: np.ndarray              # (ns,) ray of each segment
+    slot: np.ndarray             # (ns,) position of the segment along its ray
+    tri: np.ndarray              # (ns,)
+    t0: np.ndarray               # (ns,)
+    t1: np.ndarray               # (ns,)
+    exit_point: np.ndarray       # (n_rays, 2) where each ray leaves the mesh
+    exit_edge: np.ndarray        # (n_rays,) boundary edge it leaves through
+    q_nodes: np.ndarray | None   # (ns, 4) analytic source at the Gauss nodes
+
+
+def _trace(mesh: Mesh2D, starts: np.ndarray, u: np.ndarray, q=None,
+           q_mask: np.ndarray | None = None) -> _Trace:
+    """Trace the backward rays from ``starts`` along the planar direction u
+    and sample ``q`` (zero outside ``q_mask``) at every segment's Gauss nodes.
+
+    A ray leaves through the boundary edge of its last triangle with the
+    nearest midpoint.  If that triangle owns none (roundoff may end a ray in
+    an interior neighbour; a ray that crosses none leaves at its start), the
+    nearest midpoint of all boundary edges decides."""
+    tol = 1e-12 * max(mesh.vertices.max() - mesh.vertices.min(), 1.0)
+    pieces = [_segments_for_ray(lo, hi, tol)
+              for lo_all, hi_all in _ray_triangle_intervals(mesh, starts, u)
+              for lo, hi in zip(lo_all, hi_all)]
+    tri, t0, t1 = (np.concatenate([p[i] for p in pieces]) for i in range(3))
+    n_seg = np.array([p[0].size for p in pieces])
+    ray = np.repeat(np.arange(n_seg.size), n_seg)
+    ends = np.cumsum(n_seg)
+    slot = np.arange(ray.size) - (ends - n_seg)[ray]
+
+    crossed, last = n_seg > 0, ends[n_seg > 0] - 1
+    t_exit, last_tri = np.zeros(n_seg.size), np.full(n_seg.size, -1)
+    t_exit[crossed], last_tri[crossed] = t1[last], tri[last]
+    exit_point = starts - t_exit[:, None] * u[None, :]
+    owned = mesh.boundary_owners[None, :] == last_tri[:, None]  # (n_rays, nbe)
+    owned[~owned.any(axis=1)] = True
+    mids = mesh.vertices[mesh.boundary_edges].mean(axis=1)
+    dist = np.linalg.norm(mids[None, :, :] - exit_point[:, None, :], axis=2)
+    exit_edge = np.argmin(np.where(owned, dist, np.inf), axis=1)
+
+    q_nodes = None
+    if q is not None:
+        q_nodes = np.zeros((tri.size, _GAUSS_NODES.size))
+        on = np.ones(tri.size, dtype=bool) if q_mask is None else q_mask[tri]
+        if on.any():
+            tg = t0[on, None] + (t1 - t0)[on, None] * _GAUSS_NODES
+            pts = starts[ray[on], None, :] - tg[..., None] * u
+            q_nodes[on] = np.asarray(q(pts.reshape(-1, 2)), dtype=float).reshape(tg.shape)
+    return _Trace(ray, slot, tri, t0, t1, exit_point, exit_edge, q_nodes)
+
+
+def _integrate(trace: _Trace, mu: np.ndarray, beta: float):
+    """Exact attenuation along the traced rays of one ordinate, with
+    piecewise-constant absorption mu and 3D path stretch beta = 1/|s_xy|.
+
+    Returns the weight of a unit per-triangle source on each segment, the
+    attenuation exp(-tau_exit) of each ray's inflow, and each ray's Gauss
+    line integral of the traced analytic source (None without one)."""
+    dt = trace.t1 - trace.t0
+    mu_seg = mu[trace.tri]
+    opt = mu_seg * beta * dt
+    # optical depth before each segment, summed along its own ray in order
+    depth = np.zeros((trace.exit_edge.size, trace.slot.max(initial=0) + 2))
+    depth[trace.ray, trace.slot + 1] = opt
+    depth = np.cumsum(depth, axis=1)
+    tau = depth[trace.ray, trace.slot]
+    att = np.exp(-tau)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(mu_seg > 0, att * (1.0 - np.exp(-opt)) / mu_seg, att * beta * dt)
+    exit_fac = np.exp(-depth[:, -1])
+    if trace.q_nodes is None:
+        return w, exit_fac, None
+    damp = np.exp(-(tau[:, None] + (mu_seg * beta)[:, None] * (dt[:, None] * _GAUSS_NODES)))
+    seg = dt * beta * np.sum(_GAUSS_WEIGHTS * trace.q_nodes * damp, axis=1)
+    return w, exit_fac, np.bincount(trace.ray, weights=seg, minlength=depth.shape[0])
 
 
 class SweepOperator:
@@ -146,7 +227,8 @@ class SweepOperator:
     For ordinate d the sampled values obey
         u_d = A_d @ src + q_d + f_d * h[exit_edge_d, d]
     where src is any per-triangle isotropic source density added on top of the
-    (optional) analytic external source integrated at build time.
+    (optional) analytic external source integrated at build time.  Under
+    z-invariance the ray paths depend only on the planar direction s_xy/|s_xy|.
     """
 
     def __init__(self, mesh: Mesh2D, mu_tri: np.ndarray, ordinates: OrdinateSet,
@@ -155,91 +237,30 @@ class SweepOperator:
         self.ordinates = ordinates
         self.mu = np.asarray(mu_tri, dtype=float)
         nt = mesh.n_triangles
-        be = mesh.boundary_edges
-        self.edge_mid = 0.5 * (mesh.vertices[be[:, 0]] + mesh.vertices[be[:, 1]])
-        nbe = be.shape[0]
-        self.n_rays = nt + nbe
-        starts = np.vstack([mesh.centroids, self.edge_mid])
-        tol = 1e-12 * max(mesh.vertices.max() - mesh.vertices.min(), 1.0)
+        starts = np.vstack([mesh.centroids, mesh.vertices[mesh.boundary_edges].mean(axis=1)])
+        self.n_rays = starts.shape[0]
 
-        owner_edges = {}
-        for b_idx, t_idx in enumerate(self._boundary_owners()):
-            owner_edges.setdefault(int(t_idx), []).append(b_idx)
+        s_xy = ordinates.directions[:, :2]
+        p = np.hypot(s_xy[:, 0], s_xy[:, 1])
+        if np.any(p <= 1e-14):
+            raise ValueError("ordinate parallel to the invariant axis")
+        u = s_xy / p[:, None]
 
-        if q_mask is None:
-            q_mask = np.ones(nt, dtype=bool)
-        gx, gw = _SEG_GAUSS
-
-        self._mats, self._qvec, self._exit_edge, self._exit_fac = [], [], [], []
-        for d in range(ordinates.n_dirs):
-            s = ordinates.directions[d]
-            p = np.hypot(s[0], s[1])
-            if p <= 1e-14:
-                raise ValueError("ordinate parallel to the invariant axis")
-            u = np.array([s[0], s[1]]) / p
-            beta = 1.0 / p
-
-            rows, cols, vals = [], [], []
-            qvec = np.zeros(self.n_rays)
-            exit_edge = np.zeros(self.n_rays, dtype=np.int64)
-            exit_fac = np.zeros(self.n_rays)
-            for chunk_slice, lo_all, hi_all in _ray_triangle_intervals(mesh, starts, u):
-                for k in range(lo_all.shape[0]):
-                    ray = chunk_slice.start + k
-                    segs, t_exit = _segments_for_ray(lo_all[k], hi_all[k], tol)
-                    if not segs:
-                        # inflow boundary ray: carries its own inflow value
-                        exit_edge[ray] = ray - nt if ray >= nt else 0
-                        exit_fac[ray] = 1.0 if ray >= nt else 0.0
-                        continue
-                    tau = 0.0
-                    r0 = starts[ray]
-                    for t_idx, t0, t1 in segs:
-                        dt = t1 - t0
-                        opt = self.mu[t_idx] * beta * dt
-                        att = np.exp(-tau)
-                        if self.mu[t_idx] > 0:
-                            w = att * (1.0 - np.exp(-opt)) / self.mu[t_idx]
-                        else:
-                            w = att * beta * dt
-                        rows.append(ray)
-                        cols.append(t_idx)
-                        vals.append(w)
-                        if q_analytic is not None and q_mask[t_idx]:
-                            # 4-point Gauss on q(r - t u) e^{-tau(t)} beta dt
-                            tg = t0 + 0.5 * dt * (gx + 1.0)
-                            pts = r0[None, :] - tg[:, None] * u[None, :]
-                            qv = np.asarray(q_analytic(pts), dtype=float)
-                            damp = np.exp(-(tau + self.mu[t_idx] * beta * (tg - t0)))
-                            qvec[ray] += 0.5 * dt * beta * np.sum(gw * qv * damp)
-                        tau += opt
-                    exit_fac[ray] = np.exp(-tau)
-                    exit_edge[ray] = self._locate_exit_edge(
-                        owner_edges, segs[-1][0], r0 - t_exit * u)
-            self._mats.append(csr_matrix((vals, (rows, cols)),
-                                         shape=(self.n_rays, nt)))
-            self._qvec.append(qvec)
-            self._exit_edge.append(exit_edge)
-            self._exit_fac.append(exit_fac)
-
-    def _boundary_owners(self) -> np.ndarray:
-        mesh = self.mesh
-        if mesh._boundary is None:
-            mesh._build_boundary()
-        return mesh._boundary[3]
-
-    def _locate_exit_edge(self, owner_edges: dict, last_tri: int,
-                          exit_point: np.ndarray) -> int:
-        cand = owner_edges.get(last_tri)
-        if cand is None:
-            # roundoff may land the final segment in a neighbouring interior
-            # triangle; fall back to the nearest boundary edge midpoint
-            d = np.linalg.norm(self.edge_mid - exit_point, axis=1)
-            return int(np.argmin(d))
-        if len(cand) == 1:
-            return cand[0]
-        d = np.linalg.norm(self.edge_mid[cand] - exit_point, axis=1)
-        return cand[int(np.argmin(d))]
+        nd = ordinates.n_dirs
+        self._mats, self._qvec, self._exit_edge, self._exit_fac = ([None] * nd for _ in range(4))
+        traces = {}
+        # directions equal up to roundoff share one trace (a group split by the
+        # rounding only costs an extra trace), taken along the group's smallest
+        # u in lexicographic order whatever the order of the ordinate set
+        for d in np.lexsort((u[:, 1], u[:, 0])):
+            key = tuple(np.round(u[d], 12))
+            if key not in traces:
+                traces[key] = _trace(mesh, starts, u[d], q_analytic, q_mask)
+            trace = traces[key]
+            w, self._exit_fac[d], q_line = _integrate(trace, self.mu, 1.0 / p[d])
+            self._mats[d] = csr_matrix((w, (trace.ray, trace.tri)), shape=(self.n_rays, nt))
+            self._qvec[d] = np.zeros(self.n_rays) if q_line is None else q_line
+            self._exit_edge[d] = trace.exit_edge
 
     def apply(self, src_tri: np.ndarray, inflow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One transport sweep: src_tri is the per-triangle isotropic source
@@ -355,37 +376,15 @@ def characteristics_solve(mesh: Mesh2D, coeffs: TransportCoefficients,
         dens = q(r[None, :])[0] if callable(q) else src_tri[t_idx]
         return float(dens / mu[t_idx])
 
-    u = np.array([s[0], s[1]]) / p
-    beta = 1.0 / p
-    tol = 1e-12 * max(mesh.vertices.max() - mesh.vertices.min(), 1.0)
-    _, lo, hi = next(_ray_triangle_intervals(mesh, r[None, :], u, chunk=1))
-    segs, t_exit = _segments_for_ray(lo[0], hi[0], tol)
-    if not segs:
+    trace = _trace(mesh, r[None, :], s[:2] / p, q if callable(q) else None,
+                   mesh.tags == INTERIOR)
+    if trace.tri.size == 0:
         raise ValueError("ray does not intersect the mesh")
-
-    gx, gw = _SEG_GAUSS
-    interior = mesh.tags == INTERIOR
-    tau = 0.0
-    total = 0.0
-    for t_idx, t0, t1 in segs:
-        dt = t1 - t0
-        opt = mu[t_idx] * beta * dt
-        if callable(q):
-            if interior[t_idx]:
-                tg = t0 + 0.5 * dt * (gx + 1.0)
-                pts = r[None, :] - tg[:, None] * u[None, :]
-                damp = np.exp(-(tau + mu[t_idx] * beta * (tg - t0)))
-                total += 0.5 * dt * beta * np.sum(gw * np.asarray(q(pts)) * damp)
-        else:
-            if mu[t_idx] > 0:
-                total += src_tri[t_idx] * np.exp(-tau) * (1 - np.exp(-opt)) / mu[t_idx]
-            else:
-                total += src_tri[t_idx] * np.exp(-tau) * beta * dt
-        tau += opt
+    w, exit_fac, q_line = _integrate(trace, mu, 1.0 / p)
+    total = q_line[0] if callable(q) else w @ src_tri[trace.tri]
     if inflow is not None:
-        hit = r - t_exit * u
-        val = inflow(hit, s) if callable(inflow) else float(inflow)
-        total += np.exp(-tau) * val
+        val = inflow(trace.exit_point[0], s) if callable(inflow) else float(inflow)
+        total += exit_fac[0] * val
     return float(total)
 
 

@@ -55,7 +55,12 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted before reaching the tolerance."""
+    """Iteration budget exhausted before reaching the tolerance.  ``report``
+    is the partial SolveReport of the failed solve (``converged=False``)."""
+
+    def __init__(self, message: str, report: "SolveReport"):
+        super().__init__(message)
+        self.report = report
 
 
 @dataclass
@@ -289,7 +294,16 @@ def pcg_solve(apply_s, rhs: np.ndarray, preconditioner=None, tol: float = 1e-7,
     report.wall_time = time.perf_counter() - t0
     raise ConvergenceError(
         f"PCG did not reach tol={tol:g} in {max_iter} iterations "
-        f"(final relative residual {report.residual_history[-1]:.3e})")
+        f"(final relative residual {report.residual_history[-1]:.3e})", report)
+
+
+def _add_class(report: SolveReport, part: SolveReport) -> SolveReport:
+    """Fold the PCG report of one z-parity class into the combined report."""
+    report.iterations += part.iterations
+    report.residual_history += part.residual_history
+    report.wall_time += part.wall_time
+    report.converged = report.converged and part.converged
+    return report
 
 
 def solve_system(blocks: BlockOperator, q_plus: np.ndarray, q_minus: np.ndarray,
@@ -303,7 +317,8 @@ def solve_system(blocks: BlockOperator, q_plus: np.ndarray, q_minus: np.ndarray,
     its solution is exactly zero.  The returned field has the full shape.
     The report sums iterations and PCG wall time over the solved classes,
     concatenates their residual histories, and counts the dofs of the full
-    P_N system.
+    P_N system.  A ConvergenceError carries this report, with the classes
+    solved before the failure merged in.
     """
     if precond not in (None, JACOBI, BLOCK_SPATIAL):
         raise ValueError(f"unknown preconditioner kind: {precond!r}")
@@ -319,14 +334,16 @@ def solve_system(blocks: BlockOperator, q_plus: np.ndarray, q_minus: np.ndarray,
             continue
         sub = blocks.restrict(sub_basis)
         pre = None if precond is None else build_preconditioner(sub, precond)
-        x, part = pcg_solve(SchurOperator(sub), schur_rhs(sub, qp, qm),
-                            preconditioner=pre, tol=tol, max_iter=max_iter)
+        try:
+            x, part = pcg_solve(SchurOperator(sub), schur_rhs(sub, qp, qm),
+                                preconditioner=pre, tol=tol, max_iter=max_iter)
+        except ConvergenceError as exc:
+            exc.report = _add_class(report, exc.report)
+            raise
+        _add_class(report, part)
         u_plus = x.reshape(blocks.mesh.n_vertices, sub_basis.n_plus)
         fld.even[:, even] = u_plus
         fld.odd[:, odd] = recover_odd(sub, qm, u_plus)
-        report.iterations += part.iterations
-        report.residual_history += part.residual_history
-        report.wall_time += part.wall_time
     return fld, report
 
 

@@ -5,7 +5,6 @@ from scipy.sparse import kron
 from pnpml.angular import build_basis, coupling_matrices, quadrature_for_order
 from pnpml.assembly import (
     Field,
-    assemble_boundary,
     assemble_even_mass,
     assemble_odd_diag,
     build_operator,
@@ -17,7 +16,16 @@ from pnpml.assembly import (
     project_source,
     transport_seminorm2,
 )
-from pnpml.mesh import INTERIOR, LAYER, Disk, GeometrySpec, Mesh2D, Rect, build_mesh
+from pnpml.mesh import (
+    INTERIOR,
+    LAYER,
+    Disk,
+    GeometrySpec,
+    Mesh2D,
+    Rect,
+    boundary_mass_matrix,
+    build_mesh,
+)
 from pnpml.pml import extend_coefficients
 
 RNG = np.random.default_rng(2024)
@@ -92,14 +100,14 @@ class TestEvenMass:
 
 class TestBoundary:
     def test_constant_field_gives_perimeter(self):
-        _, mesh, _, basis, _ = rect_setup()
-        R = assemble_boundary(mesh, basis)
+        _, mesh, _, _, _ = rect_setup()
+        R = boundary_mass_matrix(mesh)
         ones = np.ones(mesh.n_vertices)
         assert ones @ (R @ ones) == pytest.approx(36.0, rel=1e-12)
 
     def test_interior_supported_field_vanishes(self):
-        _, mesh, _, basis, _ = rect_setup()
-        R = assemble_boundary(mesh, basis)
+        _, mesh, _, _, _ = rect_setup()
+        R = boundary_mass_matrix(mesh)
         x = RNG.normal(size=mesh.n_vertices)
         x[mesh.boundary_vertices] = 0.0
         assert abs(x @ (R @ x)) == 0.0

@@ -293,6 +293,9 @@ class TestMain:
     def test_convergence_failure_exit_code(self, tmp_path):
         path = self._write(tmp_path, EXAMPLE1 + "solver.max_iter = 2\nsolver.tol = 1e-13\n")
         assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 3
+        log = (tmp_path / "out" / "run_log.txt").read_text()
+        assert "converged = False" in log
+        assert "iterations = 2" in log
 
     def test_tol_override(self, tmp_path):
         path = self._write(tmp_path, EXAMPLE1)

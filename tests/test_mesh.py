@@ -9,7 +9,6 @@ from pnpml.mesh import (
     GeometrySpec,
     Rect,
     boundary_mass_matrix,
-    boundary_trace_dofs,
     build_mesh,
     edge_local_mass,
     load_mesh,
@@ -224,7 +223,7 @@ class TestBoundaryMass:
 
     def test_interior_vertices_absent(self):
         mesh = build_mesh(rect_spec(), 1.0)
-        verts, R = boundary_trace_dofs(mesh)
+        verts, R = mesh.boundary_vertices, boundary_mass_matrix(mesh)
         interior = np.setdiff1d(np.arange(mesh.n_vertices), verts)
         dense = R.toarray()
         assert np.all(dense[interior, :] == 0)
@@ -236,6 +235,13 @@ class TestBoundaryMass:
         mids = 0.5 * (mesh.vertices[be[:, 0]] + mesh.vertices[be[:, 1]])
         # outward normal of the outer circle points away from the origin
         assert np.all(np.sum(mids * mesh.boundary_normals, axis=1) > 0)
+
+    def test_boundary_owners_hold_their_edges(self):
+        mesh = build_mesh(rect_spec(), 1.0)
+        owners = mesh.triangles[mesh.boundary_owners]
+        for (a, b), tri in zip(mesh.boundary_edges, owners):
+            assert a in tri and b in tri
+        assert mesh.boundary_owners.shape == mesh.boundary_lengths.shape
 
 
 class TestAsciiIO:

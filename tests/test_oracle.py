@@ -13,6 +13,7 @@ from pnpml.mesh import (
 from pnpml.oracle import (
     REFLECT,
     VACUUM,
+    OrdinateSet,
     SweepOperator,
     boundary_trace_norm,
     build_ordinates,
@@ -109,6 +110,92 @@ class TestCharacteristics:
         exact, _ = quad(lambda t: np.exp(-2 * t) * np.exp(-4 * ((r[0] - t - 0.5) ** 2)),
                         0.0, r[0], epsabs=1e-13)
         assert val == pytest.approx(exact, abs=1e-9)
+
+    def test_oblique_gaussian_on_disk_against_quadrature(self):
+        # piecewise absorption (inner polygon / layer), the source masked to
+        # the inner polygon, and position-dependent inflow at the outer edge
+        _, mesh, coeffs, src = disk_setup(h=0.25, mu=2.0, sig0=0.0, a=5.0)
+        sub, _, _ = submesh_interior(mesh)
+        r = np.array([0.3, -0.2])
+        s = np.array([0.48, 0.36, 0.8])
+        beta = 1.0 / 0.6
+        u = s[:2] * beta
+        inflow = lambda hit, _s: 1.0 + hit[0] - 0.5 * hit[1]
+        val = characteristics_solve(mesh, coeffs, r, s, q=src, inflow=inflow)
+
+        t_in, t_out = polygon_exit(sub, r, u), polygon_exit(mesh, r, u)
+        tau = lambda t: beta * (2.0 * min(t, t_in) + 5.0 * max(t - t_in, 0.0))
+        path, _ = quad(lambda t: beta * src((r - t * u)[None, :])[0] * np.exp(-tau(t)),
+                       0.0, t_in, epsabs=1e-14, epsrel=1e-13)
+        exact = path + np.exp(-tau(t_out)) * inflow(r - t_out * u, s)
+        # the 4-point Gauss rule per segment leaves a few 1e-10 relative
+        assert val == pytest.approx(exact, rel=1e-8)
+
+
+def polygon_exit(mesh, r, u):
+    """Distance along -u from r (inside) to the boundary of a convex mesh."""
+    a = mesh.vertices[mesh.boundary_edges[:, 0]]
+    e = mesh.vertices[mesh.boundary_edges[:, 1]] - a
+    # r - t u = a + w e  ->  [-u | -e] (t, w) = a - r
+    det = u[0] * e[:, 1] - u[1] * e[:, 0]
+    d = a - r
+    t = (-d[:, 0] * e[:, 1] + d[:, 1] * e[:, 0]) / det
+    w = (-u[0] * d[:, 1] + u[1] * d[:, 0]) / det
+    hit = (w >= -1e-12) & (w <= 1 + 1e-12) & (t > 0)
+    return float(t[hit].max())
+
+
+class TestSweepSharing:
+    """Ordinates with the same planar direction share one trace."""
+
+    def setup_sweep(self, ords):
+        _, mesh, coeffs, src = disk_setup(h=0.25, mu=2.0, sig0=0.0, a=3.0)
+        sweep = SweepOperator(mesh, coeffs.mu, ords, q_analytic=src,
+                              q_mask=mesh.tags == 0)
+        return mesh, coeffs, src, sweep
+
+    def test_z_mirrored_ordinates_give_identical_columns(self):
+        ords = build_ordinates(4, 8)
+        mesh, _, _, sweep = self.setup_sweep(ords)
+        rng = np.random.default_rng(3)
+        src_tri = rng.random(mesh.n_triangles)
+        inflow = np.tile(rng.random((mesh.boundary_edges.shape[0], 1)), (1, ords.n_dirs))
+        tri, bdry = sweep.apply(src_tri, inflow)
+        # polar level i and 3 - i at the same azimuth: s_z flips, s_xy is equal
+        mirror = np.arange(ords.n_dirs).reshape(4, 8)[::-1].ravel()
+        dirs = ords.directions
+        assert np.array_equal(dirs[mirror, :2], dirs[:, :2])
+        assert np.array_equal(dirs[mirror, 2], -dirs[:, 2])
+        assert np.array_equal(tri[:, mirror], tri)
+        assert np.array_equal(bdry[:, mirror], bdry)
+
+    def test_permuted_ordinates_permute_columns(self):
+        ords = build_ordinates(4, 8)
+        perm = np.random.default_rng(4).permutation(ords.n_dirs)
+        inv = np.argsort(perm)
+        permuted = OrdinateSet(directions=ords.directions[perm], weights=ords.weights[perm],
+                               opposite=inv[ords.opposite[perm]])
+        mesh, coeffs, src, sweep = self.setup_sweep(ords)
+        sweep_p = SweepOperator(mesh, coeffs.mu, permuted, q_analytic=src,
+                                q_mask=mesh.tags == 0)
+        rng = np.random.default_rng(5)
+        src_tri = rng.random(mesh.n_triangles)
+        inflow = rng.random((mesh.boundary_edges.shape[0], ords.n_dirs))
+        tri, bdry = sweep.apply(src_tri, inflow)
+        tri_p, bdry_p = sweep_p.apply(src_tri, inflow[:, perm])
+        assert np.array_equal(tri_p, tri[:, perm])
+        assert np.array_equal(bdry_p, bdry[:, perm])
+
+    def test_centroid_rows_match_characteristics(self):
+        ords = build_ordinates(4, 8)
+        mesh, coeffs, src, sweep = self.setup_sweep(ords)
+        inflow = 0.7
+        tri, _ = sweep.apply(np.zeros(mesh.n_triangles),
+                             np.full((mesh.boundary_edges.shape[0], ords.n_dirs), inflow))
+        for d, s in enumerate(ords.directions):
+            ref = np.array([characteristics_solve(mesh, coeffs, c, s, q=src, inflow=inflow)
+                            for c in mesh.centroids])
+            assert np.max(np.abs(tri[:, d] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestSourceIteration:

@@ -137,8 +137,11 @@ class TestPCG:
     def test_max_iter_exceeded(self):
         _, _, blocks, qp, qm = small_instance()
         op = SchurOperator(blocks)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as err:
             pcg_solve(op, schur_rhs(blocks, qp, qm), tol=1e-14, max_iter=2)
+        report = err.value.report
+        assert not report.converged
+        assert report.iterations == 2 and len(report.residual_history) == 2
 
     def test_deterministic(self):
         _, _, blocks, qp, qm = small_instance()
@@ -336,6 +339,34 @@ class TestZParityClasses:
         approx = np.concatenate([fld.even.ravel(), fld.odd.ravel()])
         assert np.max(np.abs(approx - dense)) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
         assert rep.converged and rep.final_residual <= 1e-13
+
+    def test_failed_class_report_keeps_the_solved_class(self, monkeypatch):
+        mesh, basis, blocks, _, _ = small_instance(3)
+        q = lambda r, s: (1.0 + r[0]) * (1.0 + s[2] + s[0] * s[2])
+        qp, qm = project_source(mesh, basis, q, isotropic=False)
+
+        import pnpml.solver
+        real_pcg = pnpml.solver.pcg_solve
+        solved = []
+
+        def second_class_fails(*args, **kwargs):
+            if solved:
+                kwargs["max_iter"] = 3
+            x, part = real_pcg(*args, **kwargs)
+            solved.append(part)
+            return x, part
+
+        monkeypatch.setattr(pnpml.solver, "pcg_solve", second_class_fails)
+        with pytest.raises(ConvergenceError) as err:
+            solve_system(blocks, qp, qm, tol=1e-12, params={"case": "z-odd fails"})
+        report, first = err.value.report, solved[0]
+        assert len(solved) == 1 and first.converged
+        assert not report.converged
+        assert report.iterations == first.iterations + 3
+        assert report.residual_history[:first.iterations] == first.residual_history
+        assert len(report.residual_history) == first.iterations + 3
+        assert (report.dofs_even, report.dofs_odd) == (blocks.n_even, blocks.n_odd)
+        assert report.parameters == {"case": "z-odd fails"}
 
     def test_zero_load_solves_nothing(self):
         _, _, blocks, qp, qm = small_instance()
