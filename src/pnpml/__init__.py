@@ -24,7 +24,6 @@ from pnpml.assembly import (
     Field,
     assemble_even_mass,
     assemble_odd_diag,
-    assemble_transport,
     build_operator,
     explicit_matrices,
     project_source,

@@ -191,20 +191,18 @@ def quadrature_for_order(N: int) -> SphereQuadrature:
 
 @dataclass(frozen=True)
 class AngularCouplings:
-    """Transfer matrices (T_i)[o, e] = int_S s_i * Y_odd_o * Y_even_e ds and,
-    optionally, the scattering eigenvalues per degree."""
+    """Transfer matrices (T_i)[o, e] = int_S s_i * Y_odd_o * Y_even_e ds."""
 
     t_x: csr_matrix
     t_y: csr_matrix
     t_z: csr_matrix
-    sigma: dict[int, float] | None = None
 
     def component(self, i: int) -> csr_matrix:
         return (self.t_x, self.t_y, self.t_z)[i]
 
 
 def coupling_matrices(basis: AngularBasis, quad: SphereQuadrature,
-                      kernel=None, drop_tol: float = 1e-12) -> AngularCouplings:
+                      drop_tol: float = 1e-12) -> AngularCouplings:
     """Compute the direction-coupling matrices by quadrature.
 
     The quadrature must be exact to total degree 2N+2 so that, for odd N,
@@ -218,10 +216,7 @@ def coupling_matrices(basis: AngularBasis, quad: SphereQuadrature,
         dense = weighted.T @ even_tab
         dense[np.abs(dense) < drop_tol] = 0.0
         mats.append(csr_matrix(dense))
-    sigma = None
-    if kernel is not None:
-        sigma = scattering_eigenvalues(kernel, basis)
-    return AngularCouplings(t_x=mats[0], t_y=mats[1], t_z=mats[2], sigma=sigma)
+    return AngularCouplings(t_x=mats[0], t_y=mats[1], t_z=mats[2])
 
 
 def _as_coeff_array(kernel) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "Field",
     "BlockOperator",
     "assemble_even_mass",
-    "assemble_transport",
     "assemble_odd_diag",
     "project_source",
     "build_operator",
@@ -102,13 +101,6 @@ def gradient_matrices(mesh: Mesh2D) -> tuple[csr_matrix, csr_matrix]:
     return g_x, g_y
 
 
-def assemble_transport(mesh: Mesh2D, couplings: AngularCouplings):
-    """Kronecker factors of the transport block B = sum_i G_i kron T_i.
-    The z factor drops out: fields do not vary along the invariant axis."""
-    g_x, g_y = gradient_matrices(mesh)
-    return (g_x, g_y), (couplings.t_x, couplings.t_y)
-
-
 def assemble_odd_diag(mesh: Mesh2D, coeffs: TransportCoefficients,
                       basis: AngularBasis) -> np.ndarray:
     """Diagonal of the odd collision block, shape (n_triangles, n_minus)."""
@@ -136,6 +128,8 @@ class BlockOperator:
 
     def __post_init__(self):
         self.mode_groups = degree_groups(self.basis.even_degrees())
+        # CSR .T is a CSC view of the same arrays: no copy, built once
+        self._transposed = (self.g_x.T, self.g_y.T, self.t_x.T, self.t_y.T)
 
     @property
     def n_even(self) -> int:
@@ -161,8 +155,8 @@ class BlockOperator:
 
     def apply_transport_t(self, v_odd: np.ndarray) -> np.ndarray:
         """B^T v: (nt, n_minus) -> (nv, n_plus)."""
-        return (self.g_x.T @ (self.t_x.T @ v_odd.T).T
-                + self.g_y.T @ (self.t_y.T @ v_odd.T).T)
+        g_x_t, g_y_t, t_x_t, t_y_t = self._transposed
+        return g_x_t @ (t_x_t @ v_odd.T).T + g_y_t @ (t_y_t @ v_odd.T).T
 
     def solve_odd_diag(self, v_odd: np.ndarray) -> np.ndarray:
         if np.any(self.c_diag == 0):
@@ -193,13 +187,16 @@ class BlockOperator:
 
 def build_operator(mesh: Mesh2D, basis: AngularBasis, couplings: AngularCouplings,
                    coeffs: TransportCoefficients) -> BlockOperator:
-    (g_x, g_y), (t_x, t_y) = assemble_transport(mesh, couplings)
+    """The four blocks; the transport block is B = sum_i G_i kron T_i over
+    i in {x, y}: the z factor drops out because fields do not vary along the
+    invariant axis."""
+    g_x, g_y = gradient_matrices(mesh)
     return BlockOperator(
         mesh=mesh,
         basis=basis,
         mass_blocks=assemble_even_mass(mesh, coeffs, basis),
         boundary=boundary_mass_matrix(mesh),
-        g_x=g_x, g_y=g_y, t_x=t_x, t_y=t_y,
+        g_x=g_x, g_y=g_y, t_x=couplings.t_x, t_y=couplings.t_y,
         c_diag=assemble_odd_diag(mesh, coeffs, basis),
     )
 

@@ -312,18 +312,18 @@ def _mode_embedding(coarse: AngularBasis, fine: AngularBasis):
     return coarse.n_plus, coarse.n_minus
 
 
-def _error_vs_reference(case: CaseResult, ref: CaseResult, levels_up: int) -> float:
+def _error_vs_reference(cache: _ProblemCache, case: CaseResult, level: int,
+                        ref: CaseResult, ref_level: int) -> float:
     """e_h between a coarse case and the reference: L2 difference of both
     components plus the directional-gradient seminorm of the even part,
-    restricted to the inner region, on the reference grid."""
+    restricted to the inner region, on the reference grid.  The case is
+    prolonged up the cache's own mesh chain."""
     even = case.field.even
     odd = case.field.odd
-    mesh = case.mesh
-    for _ in range(levels_up):
-        even = p1_prolong(mesh, even)
+    for lvl in range(level, ref_level):
+        even = p1_prolong(cache.mesh(lvl), even)
         odd = p0_prolong(odd)
-        mesh = uniform_refine(mesh)
-    if mesh.n_vertices != ref.mesh.n_vertices:
+    if even.shape[0] != ref.mesh.n_vertices:
         raise ConfigError("case and reference grids are not nested")
 
     n_plus, n_minus = _mode_embedding(case.basis, ref.basis)
@@ -367,7 +367,7 @@ def convergence_study(cfg: RunConfig, threads: int = 1):
     def run_one(args):
         n, level, exp_al = args
         case = cache.solve_case(n, level, exp_al, tol, max_iter, precond)
-        e_h = _error_vs_reference(case, ref, ref_level - level)
+        e_h = _error_vs_reference(cache, case, level, ref, ref_level)
         return {
             "N": n, "h": case.mesh.h, "exp_al": exp_al, "e_h": e_h,
             "iters": case.report.iterations, "seconds": case.report.wall_time,

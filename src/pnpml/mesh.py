@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -26,7 +27,6 @@ __all__ = [
     "GeometryError",
     "build_mesh",
     "uniform_refine",
-    "refinement_edge_pairs",
     "p1_prolong",
     "p0_prolong",
     "ray_exit_distance",
@@ -208,6 +208,16 @@ class GeometrySpec:
         return float(np.min(vals))
 
 
+class _EdgeTable(NamedTuple):
+    """The unique edges of a triangulation in first-seen order over
+    (triangle t, local edge k = (t[k], t[(k+1) % 3]))."""
+
+    ends: np.ndarray       # (ne, 2) endpoints, oriented as first seen
+    first: np.ndarray      # (ne,) first flat position 3t + k
+    counts: np.ndarray     # (ne,) triangles holding the edge: 1 on the boundary
+    tri_edges: np.ndarray  # (nt, 3) edge of each local edge k
+
+
 @dataclass
 class Mesh2D:
     """Conforming triangulation of the extended domain with region tags."""
@@ -246,21 +256,27 @@ class Mesh2D:
         return (a + b + c) / 3.0
 
     @cached_property
+    def _edges(self) -> _EdgeTable:
+        """The edge table, built on first use."""
+        starts = self.triangles.ravel()
+        ends = np.roll(self.triangles, -1, axis=1).ravel()
+        keys = np.minimum(starts, ends) * self.n_vertices + np.maximum(starts, ends)
+        _, first, inverse, counts = np.unique(keys, return_index=True,
+                                              return_inverse=True, return_counts=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        first = first[order]
+        return _EdgeTable(ends=np.column_stack([starts[first], ends[first]]), first=first,
+                          counts=counts[order], tri_edges=rank[inverse].reshape(-1, 3))
+
+    @cached_property
     def _boundary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(edges, outward normals, lengths, owner triangles) of the outer
-        boundary, built on first use."""
-        edges = {}
-        for t_idx, tri in enumerate(self.triangles):
-            for k in range(3):
-                a, b = int(tri[k]), int(tri[(k + 1) % 3])
-                key = (a, b) if a < b else (b, a)
-                if key in edges:
-                    edges[key] = None  # interior: seen twice
-                else:
-                    edges[key] = (a, b, t_idx)
-        bdry = [v for v in edges.values() if v is not None]
-        be = np.array([[a, b] for a, b, _ in bdry], dtype=np.int64)
-        owner = np.array([t for _, _, t in bdry], dtype=np.int64)
+        boundary: the edges of the table that one triangle holds."""
+        table = self._edges
+        bdry = table.counts == 1
+        be, owner = table.ends[bdry], table.first[bdry] // 3
         # outward normal: rotate the (oriented) edge tangent; with CCW
         # triangles the edge (a, b) traverses the boundary CCW, so the
         # outward normal is the clockwise rotation of the tangent
@@ -294,13 +310,7 @@ class Mesh2D:
         """Check conformity and orientation; raises on violation."""
         if np.any(self.areas <= 0):
             raise GeometryError("mesh has non-positive triangle areas")
-        counts = {}
-        for tri in self.triangles:
-            for k in range(3):
-                a, b = int(tri[k]), int(tri[(k + 1) % 3])
-                key = (a, b) if a < b else (b, a)
-                counts[key] = counts.get(key, 0) + 1
-        if not all(c in (1, 2) for c in counts.values()):
+        if np.any(self._edges.counts > 2):
             raise GeometryError("mesh is not conforming")
         return self
 
@@ -427,52 +437,26 @@ def build_mesh(spec: GeometrySpec, h: float) -> Mesh2D:
     return mesh.validate()
 
 
-def refinement_edge_pairs(mesh: Mesh2D) -> np.ndarray:
-    """Coarse vertex pairs whose midpoints become the new vertices of
-    ``uniform_refine(mesh)``, in creation order (new vertex nv + k is the
-    midpoint of pair k)."""
-    midpoint = {}
-    order = []
-    for a, b, c in mesh.triangles:
-        for i, j in ((a, b), (b, c), (c, a)):
-            key = (i, j) if i < j else (j, i)
-            if key not in midpoint:
-                midpoint[key] = len(order)
-                order.append(key)
-    return np.array(order, dtype=np.int64)
-
-
 def uniform_refine(mesh: Mesh2D) -> Mesh2D:
     """Split every triangle into four via edge midpoints.  The coarse vertex
-    set is a prefix of the fine one and the central child of triangle t is
+    set is a prefix of the fine one, new vertex nv + k is the midpoint of
+    edge k of the coarse edge table, and the central child of triangle t is
     child 4*t + 3, which keeps nested prolongation exact."""
-    nv = mesh.n_vertices
-    pairs = refinement_edge_pairs(mesh)
-    mid_index = {(int(a), int(b)): nv + k for k, (a, b) in enumerate(pairs)}
-
-    def mid(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        return mid_index[key]
-
-    tris = np.empty((4 * mesh.n_triangles, 3), dtype=np.int64)
-    tags = np.repeat(mesh.tags, 4)
-    for t, (a, b, c) in enumerate(mesh.triangles):
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        tris[4 * t + 0] = (a, ab, ca)
-        tris[4 * t + 1] = (b, bc, ab)
-        tris[4 * t + 2] = (c, ca, bc)
-        tris[4 * t + 3] = (ab, bc, ca)
-
-    new_verts = 0.5 * (mesh.vertices[pairs[:, 0]] + mesh.vertices[pairs[:, 1]])
+    table = mesh._edges
+    a, b, c = mesh.triangles.T
+    ab, bc, ca = (mesh.n_vertices + table.tri_edges).T
+    tris = np.column_stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca]).reshape(-1, 3)
+    new_verts = 0.5 * (mesh.vertices[table.ends[:, 0]] + mesh.vertices[table.ends[:, 1]])
     vertices = np.vstack([mesh.vertices, new_verts])
-    return Mesh2D(vertices=vertices, triangles=tris, tags=tags, h=mesh.h / 2)
+    return Mesh2D(vertices=vertices, triangles=tris, tags=np.repeat(mesh.tags, 4),
+                  h=mesh.h / 2)
 
 
 def p1_prolong(coarse: Mesh2D, values: np.ndarray) -> np.ndarray:
     """Prolong P1 vertex data (nv_coarse, ...) one refinement level: exact for
     continuous piecewise-linear functions on nested grids."""
-    pairs = refinement_edge_pairs(coarse)
-    mid_vals = 0.5 * (values[pairs[:, 0]] + values[pairs[:, 1]])
+    ends = coarse._edges.ends
+    mid_vals = 0.5 * (values[ends[:, 0]] + values[ends[:, 1]])
     return np.concatenate([values, mid_vals], axis=0)
 
 
@@ -497,22 +481,19 @@ def ray_exit_distance(spec: GeometrySpec, r, s) -> float:
     return t_planar / p
 
 
-def edge_local_mass(length: float) -> np.ndarray:
-    """Exact P1 mass matrix of a boundary edge of the given length."""
-    return length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+def edge_local_mass(length) -> np.ndarray:
+    """Exact P1 mass matrix of a boundary edge of the given length; an array
+    of lengths gives one (2, 2) matrix per length."""
+    return np.asarray(length)[..., None, None] / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
 def boundary_mass_matrix(mesh: Mesh2D) -> csr_matrix:
     """P1 mass matrix over the outer boundary curve; rows and columns of
     interior vertices are identically zero."""
     be = mesh.boundary_edges
-    lengths = mesh.boundary_lengths
-    rows, cols, vals = [], [], []
-    for (a, b), L in zip(be, lengths):
-        loc = edge_local_mass(L)
-        rows += [a, a, b, b]
-        cols += [a, b, a, b]
-        vals += [loc[0, 0], loc[0, 1], loc[1, 0], loc[1, 1]]
+    rows = np.repeat(be, 2, axis=1).ravel()   # a, a, b, b
+    cols = np.tile(be, (1, 2)).ravel()        # a, b, a, b
+    vals = edge_local_mass(mesh.boundary_lengths).ravel()
     nv = mesh.n_vertices
     return csr_matrix((vals, (rows, cols)), shape=(nv, nv))
 

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import roots_legendre
 
+from pnpml.angular import sphere_quadrature
 from pnpml.mesh import INTERIOR, Mesh2D
 from pnpml.pml import TransportCoefficients, reflect_factor
 
@@ -56,24 +57,16 @@ class OrdinateSet:
 
 
 def build_ordinates(n_polar: int, n_azimuth: int) -> OrdinateSet:
-    """Gauss x uniform product set; the azimuth count must be even so that
-    every direction has its antipode in the set."""
+    """The product rule of :func:`~pnpml.angular.sphere_quadrature`; the
+    azimuth count must be even so that every direction has its antipode in
+    the set."""
     if n_azimuth % 2 != 0:
         raise ValueError("n_azimuth must be even for antipodal closure")
-    ct, wt = roots_legendre(n_polar)
-    st = np.sqrt(1.0 - ct**2)
-    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-    dirs = np.empty((n_polar * n_azimuth, 3))
-    dirs[:, 0] = np.outer(st, np.cos(phi)).ravel()
-    dirs[:, 1] = np.outer(st, np.sin(phi)).ravel()
-    dirs[:, 2] = np.outer(ct, np.ones(n_azimuth)).ravel()
-    weights = np.outer(wt * 2 * np.pi / n_azimuth, np.ones(n_azimuth)).ravel()
-
+    quad = sphere_quadrature(n_polar, n_azimuth)
     ii, jj = np.meshgrid(np.arange(n_polar), np.arange(n_azimuth), indexing="ij")
     opp = ((n_polar - 1 - ii) * n_azimuth + (jj + n_azimuth // 2) % n_azimuth).ravel()
-    ords = OrdinateSet(directions=dirs, weights=weights, opposite=opp)
-    assert np.allclose(dirs[opp], -dirs, atol=1e-13)
-    return ords
+    assert np.allclose(quad.nodes[opp], -quad.nodes, atol=1e-13)
+    return OrdinateSet(directions=quad.nodes, weights=quad.weights, opposite=opp)
 
 
 @dataclass

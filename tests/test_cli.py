@@ -162,6 +162,32 @@ class TestStudy:
             assert r1["e_h"] == r2["e_h"]
             assert r1["iters"] == r2["iters"]
 
+    def test_refines_each_level_of_the_chain_once(self, monkeypatch):
+        import pnpml.cli
+
+        refined = []
+        real_refine = pnpml.cli.uniform_refine
+        real_error = pnpml.cli._error_vs_reference
+
+        def counting_refine(mesh):
+            refined.append(mesh.n_triangles)
+            return real_refine(mesh)
+
+        def error_without_refinement(*args, **kwargs):
+            before = len(refined)
+            e_h = real_error(*args, **kwargs)
+            assert len(refined) == before
+            return e_h
+
+        monkeypatch.setattr(pnpml.cli, "uniform_refine", counting_refine)
+        monkeypatch.setattr(pnpml.cli, "_error_vs_reference", error_without_refinement)
+        cfg = RunConfig.parse(STUDY)
+        cfg.data["study.levels"] = "0 1"
+        rows, _ = convergence_study(cfg)
+        assert len(rows) == 5
+        # the cached chain: level 0 is built, level 1 refined from it once
+        assert len(refined) == 1
+
     def test_non_nested_reference_rejected(self):
         cfg = RunConfig.parse(STUDY)
         cfg.data["study.levels"] = "0 2"

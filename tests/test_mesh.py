@@ -7,6 +7,7 @@ from pnpml.mesh import (
     Disk,
     GeometryError,
     GeometrySpec,
+    Mesh2D,
     Rect,
     boundary_mass_matrix,
     build_mesh,
@@ -29,6 +30,25 @@ def example1_spec():
 
 def rect_spec():
     return GeometrySpec(inner=Rect(0, 0, 7, 7), outer=Rect(-1, -1, 8, 8))
+
+
+SMALL_MESHES = [(example1_spec(), 0.25), (rect_spec(), 1.0)]
+
+
+def first_seen_edges(mesh):
+    """Dict reference for the edge table: [(a, b), first triangle, triangle
+    count] per unique edge, in first-seen order over (triangle t, local edge
+    k = (t[k], t[(k+1) % 3])), oriented as first seen."""
+    seen = {}
+    for t, tri in enumerate(mesh.triangles.tolist()):
+        for k in range(3):
+            a, b = tri[k], tri[(k + 1) % 3]
+            key = (min(a, b), max(a, b))
+            if key in seen:
+                seen[key][2] += 1
+            else:
+                seen[key] = [(a, b), t, 1]
+    return list(seen.values())
 
 
 class TestGeometrySpec:
@@ -155,6 +175,40 @@ class TestRefine:
         vals = np.arange(5.0)
         assert np.array_equal(p0_prolong(vals), np.repeat(vals, 4))
 
+    @pytest.mark.parametrize("spec,h", SMALL_MESHES)
+    def test_numbering_follows_first_seen_edges(self, spec, h):
+        mesh = build_mesh(spec, h)
+        fine = uniform_refine(mesh)
+        edges = first_seen_edges(mesh)
+        nv = mesh.n_vertices
+        assert fine.n_vertices == nv + len(edges)
+        assert np.array_equal(fine.vertices[:nv], mesh.vertices)
+        mid = {}
+        for k, ((a, b), _, _) in enumerate(edges):
+            assert np.array_equal(fine.vertices[nv + k],
+                                  0.5 * (mesh.vertices[a] + mesh.vertices[b]))
+            mid[min(a, b), max(a, b)] = nv + k
+        m = lambda i, j: mid[min(i, j), max(i, j)]
+        for t, (a, b, c) in enumerate(mesh.triangles.tolist()):
+            ab, bc, ca = m(a, b), m(b, c), m(c, a)
+            assert fine.triangles[4 * t:4 * t + 4].tolist() == [
+                [a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+        vals = RNG.normal(size=(nv, 2))
+        fine_vals = p1_prolong(mesh, vals)
+        for k, ((a, b), _, _) in enumerate(edges):
+            assert np.array_equal(fine_vals[nv + k], 0.5 * (vals[a] + vals[b]))
+
+
+class TestValidate:
+    def test_edge_of_three_triangles_rejected(self):
+        # three positively oriented triangles on the base edge (0, 1)
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, 3.0]])
+        mesh = Mesh2D(vertices=verts, triangles=[[0, 1, 2], [0, 1, 3], [0, 1, 4]],
+                      tags=np.zeros(3), h=1.0)
+        assert np.all(mesh.areas > 0)
+        with pytest.raises(GeometryError, match="not conforming"):
+            mesh.validate()
+
 
 class TestRayExit:
     def test_collinear(self):
@@ -235,6 +289,24 @@ class TestBoundaryMass:
         mids = 0.5 * (mesh.vertices[be[:, 0]] + mesh.vertices[be[:, 1]])
         # outward normal of the outer circle points away from the origin
         assert np.all(np.sum(mids * mesh.boundary_normals, axis=1) > 0)
+
+    def test_edge_local_mass_broadcasts_over_lengths(self):
+        lengths = np.array([0.5, 1.0, 3.0])
+        stacked = edge_local_mass(lengths)
+        assert stacked.shape == (3, 2, 2)
+        for L, loc in zip(lengths, stacked):
+            assert np.array_equal(loc, edge_local_mass(L))
+
+    @pytest.mark.parametrize("spec,h", SMALL_MESHES)
+    def test_boundary_record_follows_first_seen_edges(self, spec, h):
+        for mesh in (build_mesh(spec, h), uniform_refine(build_mesh(spec, h))):
+            bdry = [(ab, t) for ab, t, count in first_seen_edges(mesh) if count == 1]
+            assert mesh.boundary_edges.tolist() == [list(ab) for ab, _ in bdry]
+            assert mesh.boundary_owners.tolist() == [t for _, t in bdry]
+            dense = np.zeros((mesh.n_vertices, mesh.n_vertices))
+            for (a, b), L in zip(mesh.boundary_edges, mesh.boundary_lengths):
+                dense[np.ix_([a, b], [a, b])] += edge_local_mass(L)
+            assert np.array_equal(boundary_mass_matrix(mesh).toarray(), dense)
 
     def test_boundary_owners_hold_their_edges(self):
         mesh = build_mesh(rect_spec(), 1.0)
