@@ -72,6 +72,16 @@ class ConfigError(ValueError):
     """Invalid or missing configuration data."""
 
 
+def _finite(key: str, raw: str) -> float:
+    try:
+        val = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
+    if not np.isfinite(val):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return val
+
+
 @dataclass
 class RunConfig:
     """Flat dotted-key configuration."""
@@ -112,10 +122,7 @@ class RunConfig:
             if default is None:
                 raise ConfigError(f"missing required config key {key!r}")
             return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
+        return _finite(key, raw)
 
     def get_int(self, key: str, default: int | None = None) -> int:
         val = self.get_float(key, default=None if default is None else float(default))
@@ -129,10 +136,7 @@ class RunConfig:
             if default is None:
                 raise ConfigError(f"missing required config key {key!r}")
             return list(default)
-        try:
-            return [float(tok) for tok in raw.split()]
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected numbers, got {raw!r}") from exc
+        return [_finite(key, tok) for tok in raw.split()]
 
     def get_ints(self, key: str, default: list[int] | None = None) -> list[int]:
         vals = self.get_floats(key, None if default is None else [float(v) for v in default])
@@ -172,9 +176,9 @@ def geometry_from_config(cfg: RunConfig) -> GeometrySpec:
 
 
 def _source_from_config(cfg: RunConfig):
-    spec = cfg.require("physics.source").split()
-    kind = spec[0].lower()
-    args = [float(v) for v in spec[1:]]
+    kind, *rest = cfg.require("physics.source").split() or [""]
+    kind = kind.lower()
+    args = [_finite("physics.source", tok) for tok in rest]
     if kind == "gaussian":
         if len(args) != 3:
             raise ConfigError("gaussian source needs 'cx cy decay'")
@@ -291,6 +295,8 @@ def _solver_options(cfg: RunConfig):
     if tol <= 0:
         raise ConfigError("solver tolerance must be positive")
     max_iter = cfg.get_int("solver.max_iter", 10000)
+    if max_iter < 1:
+        raise ConfigError("solver iteration budget must be at least 1")
     precond = cfg.get("solver.precond", "block_spatial").lower()
     return tol, max_iter, precond
 

@@ -9,7 +9,7 @@ edges and uniform refinement yields nested vertex sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -40,6 +40,9 @@ __all__ = [
 INTERIOR = 0
 LAYER = 1
 
+# outer-boundary samples behind GeometrySpec.layer_depth and .grazing_sine
+_OUTER_SAMPLES = 2048
+
 
 class GeometryError(ValueError):
     """Raised for degenerate or unsupported geometric configurations."""
@@ -54,11 +57,6 @@ class Disk:
     @property
     def center(self) -> np.ndarray:
         return np.array([self.cx, self.cy])
-
-    def contains(self, p, tol: float = 0.0) -> np.ndarray:
-        p = np.atleast_2d(p)
-        d = np.linalg.norm(p - self.center, axis=1)
-        return d <= self.radius + tol
 
     def distance(self, p) -> np.ndarray:
         """Signed distance to the boundary (negative inside)."""
@@ -98,9 +96,6 @@ class Disk:
         wp = np.array([-w[1], w[0]])
         return min((w * cb + sgn * wp * sb) @ n for sgn in (-1.0, 1.0))
 
-    def area(self) -> float:
-        return np.pi * self.radius**2
-
 
 @dataclass(frozen=True)
 class Rect:
@@ -118,10 +113,10 @@ class Rect:
         return np.array([[self.x0, self.y0], [self.x1, self.y0],
                          [self.x1, self.y1], [self.x0, self.y1]])
 
-    def contains(self, p, tol: float = 0.0) -> np.ndarray:
+    def contains(self, p) -> np.ndarray:
         p = np.atleast_2d(p)
-        return ((p[:, 0] >= self.x0 - tol) & (p[:, 0] <= self.x1 + tol)
-                & (p[:, 1] >= self.y0 - tol) & (p[:, 1] <= self.y1 + tol))
+        return ((p[:, 0] >= self.x0) & (p[:, 0] <= self.x1)
+                & (p[:, 1] >= self.y0) & (p[:, 1] <= self.y1))
 
     def distance(self, p) -> np.ndarray:
         p = np.atleast_2d(p)
@@ -171,9 +166,6 @@ class Rect:
             return 0.0
         return float(np.min((d / nd[:, None]) @ n))
 
-    def area(self) -> float:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
 
 Shape = Disk | Rect
 
@@ -185,7 +177,6 @@ class GeometrySpec:
 
     inner: Shape
     outer: Shape
-    _n_samples: int = field(default=2048, repr=False)
 
     def __post_init__(self):
         pts, _ = self.inner.boundary_points(256)
@@ -196,14 +187,14 @@ class GeometrySpec:
     @property
     def layer_depth(self) -> float:
         """Minimal distance between the outer boundary and the inner region."""
-        pts, _ = self.outer.boundary_points(self._n_samples)
+        pts, _ = self.outer.boundary_points(_OUTER_SAMPLES)
         return float(np.min(self.inner.distance(pts)))
 
     @property
     def grazing_sine(self) -> float:
         """Minimal in-plane incidence u.n over outer-boundary points and
         backward directions u that reach the inner region."""
-        pts, nrms = self.outer.boundary_points(self._n_samples)
+        pts, nrms = self.outer.boundary_points(_OUTER_SAMPLES)
         vals = [self.inner.min_hit_incidence(p, n) for p, n in zip(pts, nrms)]
         return float(np.min(vals))
 

@@ -89,8 +89,10 @@ def extend_coefficients(mesh: Mesh2D, mu, kernel, source, a: float) -> Transport
         sigma = sig0[:, None].copy()
     else:
         coeffs = np.atleast_1d(np.asarray(kernel, dtype=float))
-        # reuses the phase-function nonnegativity check
-        scattering_eigenvalues(coeffs, build_basis(1))
+        try:  # reuses the phase-function nonnegativity check
+            scattering_eigenvalues(coeffs, build_basis(1))
+        except ValueError as exc:
+            raise ModelError(str(exc)) from exc
         sigma = np.tile(coeffs, (mesh.n_triangles, 1))
 
     src = _sample(source, cent)

@@ -3,8 +3,10 @@
 The odd unknowns are eliminated through the diagonal collision block, leaving
 the symmetric positive definite operator S = M + R + B^T C^{-1} B on the even
 unknowns.  S is applied matrix-free; the system is solved by preconditioned
-conjugate gradients with either a point-Jacobi or a per-mode spatial
-block preconditioner.
+conjugate gradients.  Both preconditioners come from one block per even
+degree l: the mean over the 2l+1 orders m of the diagonal blocks of S, a P_N
+diffusion block.  ``jacobi`` inverts its diagonal, ``block_spatial`` solves
+it exactly with one sparse LU per degree.
 
 For z-invariant problems the system splits exactly into two independent
 z-parity classes (angular modes with l + |m| even or odd).  ``solve_system``
@@ -18,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import diags
+from scipy.sparse import diags, vstack
 from scipy.sparse.linalg import splu
 
 from pnpml.angular import degree_groups
@@ -83,8 +85,6 @@ class SchurOperator:
         out = b.apply_mass(u) + b.apply_boundary(u) + b.apply_transport_t(b.solve_odd_diag(bu))
         return out.ravel()
 
-    __call__ = apply
-
 
 def schur_rhs(blocks: BlockOperator, q_plus: np.ndarray, q_minus: np.ndarray) -> np.ndarray:
     """Right-hand side of the eliminated system: q+ + B^T C^{-1} q-."""
@@ -97,52 +97,41 @@ def recover_odd(blocks: BlockOperator, q_minus: np.ndarray, u_plus: np.ndarray) 
     return blocks.solve_odd_diag(q_minus - blocks.apply_transport(u_plus))
 
 
-def _transport_weight_tables(blocks: BlockOperator):
-    """Per-triangle 2x2 Gram weights S_ab[T, e] = sum_o T_a[o,e] T_b[o,e] / C[T,o],
-    split over odd degrees so the triangle dependence stays rank-one."""
-    basis = blocks.basis
+def _degree_blocks(blocks: BlockOperator) -> list:
+    """(positions, block) per even degree l, where the block is the mean over
+    the 2l+1 orders of the diagonal blocks of S, the P_N diffusion block
+
+        M_l + R + G_x^T K_l G_x + G_y^T K_l G_y,
+        K_l = diag((l+1)/c_{l+1} + l/c_{l-1}) / (3(2l+1)),
+
+    with c_l' the odd collision weight of degree l' per triangle: averaged
+    over m, T_x and T_y reach degree l+1 and l-1 with these weights and do
+    not mix x with y.  At l = 0 it is the P1 diffusion operator with
+    coefficient 1/(3(mu - sigma_1)).
+    """
     if np.any(blocks.c_diag == 0):
         raise NumericalError("odd collision block is singular; cannot form "
                              "the Schur preconditioner")
-    tx = blocks.t_x.toarray()
-    ty = blocks.t_y.toarray()
-    nt = blocks.mesh.n_triangles
-    sxx = np.zeros((nt, basis.n_plus))
-    sxy = np.zeros_like(sxx)
-    syy = np.zeros_like(sxx)
-    for _, rows in degree_groups(basis.odd_degrees()):
-        inv_c = 1.0 / blocks.c_diag[:, rows[0]]  # same weight for all m of this l
-        pxx = np.sum(tx[rows] ** 2, axis=0)
-        pxy = np.sum(tx[rows] * ty[rows], axis=0)
-        pyy = np.sum(ty[rows] ** 2, axis=0)
-        sxx += np.outer(inv_c, pxx)
-        sxy += np.outer(inv_c, pxy)
-        syy += np.outer(inv_c, pyy)
-    return sxx, sxy, syy
+    inv_c = {l: 1.0 / blocks.c_diag[:, rows[0]]  # same weight for all m of l
+             for l, rows in degree_groups(blocks.basis.odd_degrees())}
+    g = vstack([blocks.g_x, blocks.g_y], format="csr")
+    out = []
+    for l, cols in blocks.mode_groups:
+        k = ((l + 1) * inv_c[l + 1] + l * inv_c.get(l - 1, 0.0)) / (3.0 * (2 * l + 1))
+        block = blocks.mass_blocks[l] + blocks.boundary + g.T @ diags(np.tile(k, 2)) @ g
+        out.append((cols, block.tocsc()))
+    return out
 
 
 class JacobiPreconditioner:
-    """Exact diagonal of S, inverted entrywise."""
+    """Inverse diagonal of the per-degree blocks of S (:func:`_degree_blocks`)."""
 
     kind = JACOBI
 
     def __init__(self, blocks: BlockOperator):
-        basis = blocks.basis
-        nv = blocks.mesh.n_vertices
-        diag = np.zeros((nv, basis.n_plus))
-        for l, cols in blocks.mode_groups:
-            diag[:, cols] = blocks.mass_blocks[l].diagonal()[:, None]
-        diag += blocks.boundary.diagonal()[:, None]
-
-        sxx, sxy, syy = _transport_weight_tables(blocks)
-        gx2 = blocks.g_x.copy()
-        gx2.data = gx2.data**2
-        gy2 = blocks.g_y.copy()
-        gy2.data = gy2.data**2
-        gxy = blocks.g_x.copy()
-        gxy.data = blocks.g_x.data * blocks.g_y.data  # same sparsity pattern
-        diag += gx2.T @ sxx + 2.0 * (gxy.T @ sxy) + gy2.T @ syy
-
+        diag = np.empty((blocks.mesh.n_vertices, blocks.basis.n_plus))
+        for cols, block in _degree_blocks(blocks):
+            diag[:, cols] = block.diagonal()[:, None]
         if np.any(diag <= 0):
             raise NumericalError("nonpositive diagonal entry in the Schur operator")
         self._inv_diag = (1.0 / diag).ravel()
@@ -152,36 +141,23 @@ class JacobiPreconditioner:
 
 
 class BlockSpatialPreconditioner:
-    """Per-even-mode spatial solve of the exact diagonal block of S.
-
-    For mode e the block is M_l + R + A_e, where A_e is the anisotropic
-    diffusion-like matrix contributed by B^T C^{-1} B on that mode; each block
-    is factorized sparsely once and solved exactly per application.
-    """
+    """Exact spatial solve of the per-degree blocks of S (:func:`_degree_blocks`):
+    one sparse LU per even degree, applied to all modes of that degree as one
+    multi-column right-hand side."""
 
     kind = BLOCK_SPATIAL
 
     def __init__(self, blocks: BlockOperator):
-        basis = blocks.basis
-        self._nv = blocks.mesh.n_vertices
-        self._n_plus = basis.n_plus
-        sxx, sxy, syy = _transport_weight_tables(blocks)
-        gx, gy = blocks.g_x.tocsc(), blocks.g_y.tocsc()
-        degrees = basis.even_degrees()
-        self._solvers = []
-        for e in range(basis.n_plus):
-            a_e = (gx.T @ diags(sxx[:, e]) @ gx
-                   + gx.T @ diags(sxy[:, e]) @ gy
-                   + gy.T @ diags(sxy[:, e]) @ gx
-                   + gy.T @ diags(syy[:, e]) @ gy)
-            block = blocks.mass_blocks[int(degrees[e])] + blocks.boundary + a_e
-            self._solvers.append(splu(block.tocsc()))
+        self._shape = (blocks.mesh.n_vertices, blocks.basis.n_plus)
+        degree_blocks = _degree_blocks(blocks)
+        self._cols = [cols for cols, _ in degree_blocks]
+        self._solvers = [splu(block) for _, block in degree_blocks]
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        u = r.reshape(self._nv, self._n_plus)
+        u = r.reshape(self._shape)
         out = np.empty_like(u)
-        for e, lu in enumerate(self._solvers):
-            out[:, e] = lu.solve(u[:, e])
+        for cols, lu in zip(self._cols, self._solvers):
+            out[:, cols] = lu.solve(u[:, cols])
         return out.ravel()
 
 
@@ -227,8 +203,7 @@ class SolveReport:
 
 
 def pcg_solve(apply_s, rhs: np.ndarray, preconditioner=None, tol: float = 1e-7,
-              max_iter: int = 10000, params: dict | None = None,
-              dofs_odd: int = 0) -> tuple[np.ndarray, SolveReport]:
+              max_iter: int = 10000) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned conjugate gradients for an SPD operator.
 
     Stops when the relative 2-norm of the residual falls below ``tol``; the
@@ -246,8 +221,7 @@ def pcg_solve(apply_s, rhs: np.ndarray, preconditioner=None, tol: float = 1e-7,
     t0 = time.perf_counter()
     rhs_norm = float(np.linalg.norm(rhs))
     report = SolveReport(iterations=0, residual_history=[], wall_time=0.0,
-                         dofs_even=rhs.size, dofs_odd=dofs_odd, converged=True,
-                         parameters=dict(params or {}))
+                         dofs_even=rhs.size, dofs_odd=0, converged=True)
     x = np.zeros_like(rhs)
     if rhs_norm == 0.0:
         report.wall_time = time.perf_counter() - t0

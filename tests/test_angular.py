@@ -194,6 +194,24 @@ class TestCouplings:
             assert np.all(dense[cross] == 0.0)
             assert np.any(dense[~cross] != 0.0)
 
+    @pytest.mark.parametrize("N", [1, 3, 5, 7, 9, 11, 13, 15])
+    def test_order_mean_of_planar_couplings_is_isotropic(self, N):
+        # averaged over the 2l+1 orders of even degree l, s_x and s_y reach
+        # degree l+1 with weight (l+1)/(3(2l+1)), degree l-1 with l/(3(2l+1)),
+        # and never mix: the weights of the per-degree preconditioner blocks
+        basis = build_basis(N)
+        coup = coupling_matrices(basis, quadrature_for_order(N))
+        tx, ty = coup.t_x.toarray(), coup.t_y.toarray()
+        odd_groups = degree_groups(basis.odd_degrees())
+        for l, cols in degree_groups(basis.even_degrees()):
+            for lo, rows in odd_groups:
+                want = {l + 1: (l + 1) / (3 * (2 * l + 1)),
+                        l - 1: l / (3 * (2 * l + 1))}.get(lo, 0.0)
+                txo, tyo = tx[np.ix_(rows, cols)], ty[np.ix_(rows, cols)]
+                assert abs(np.mean(np.sum(txo**2, axis=0)) - want) <= 1e-13
+                assert abs(np.mean(np.sum(tyo**2, axis=0)) - want) <= 1e-13
+                assert abs(np.mean(np.sum(txo * tyo, axis=0))) <= 1e-13
+
     def test_tz_matches_recurrence_oracle(self):
         basis = build_basis(7)
         coup = coupling_matrices(basis, quadrature_for_order(7))

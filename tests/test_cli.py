@@ -316,6 +316,27 @@ class TestMain:
             "physics.source = gaussian 0.75 0 5.0", "physics.source = constant nan"))
         assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
 
+    @pytest.mark.parametrize("old, new, flags", [
+        ("disc.n = 3", "disc.n = nan", []),
+        ("disc.n = 3", "disc.n = 1e400", []),
+        ("disc.base_h = 0.2", "disc.base_h = nan", []),
+        ("physics.source = gaussian 0.75 0 5.0", "physics.source = gaussian 0 0 x", []),
+        ("physics.kernel = 10.0", "physics.kernel = 1 -2", []),
+        ("solver.tol = 1e-7", "solver.tol = nan", []),
+        ("", "", ["--tol", "nan"]),
+        ("solver.tol = 1e-7", "solver.max_iter = 0", []),
+    ], ids=["n-nan", "n-inf", "base_h-nan", "source-word", "kernel-negative",
+            "tol-nan", "tol-flag-nan", "max_iter-zero"])
+    def test_malformed_numbers_fail_fast(self, tmp_path, monkeypatch, old, new, flags):
+        import pnpml.solver
+
+        def no_pcg(*args, **kwargs):
+            raise AssertionError("PCG must not start on a malformed config")
+
+        monkeypatch.setattr(pnpml.solver, "pcg_solve", no_pcg)
+        path = self._write(tmp_path, EXAMPLE1.replace(old, new) if old else EXAMPLE1)
+        assert main(flags + ["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
+
     def test_convergence_failure_exit_code(self, tmp_path):
         path = self._write(tmp_path, EXAMPLE1 + "solver.max_iter = 2\nsolver.tol = 1e-13\n")
         assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 3

@@ -12,9 +12,12 @@ from pnpml.pml import extend_coefficients
 from pnpml.solver import (
     BLOCK_SPATIAL,
     JACOBI,
+    BlockSpatialPreconditioner,
     ConvergenceError,
+    JacobiPreconditioner,
     NumericalError,
     SchurOperator,
+    _degree_blocks,
     build_preconditioner,
     galerkin_residuals,
     pcg_solve,
@@ -27,14 +30,14 @@ from pnpml.solver import (
 RNG = np.random.default_rng(31415)
 
 
-def small_instance(N=3):
+def small_instance(N=3, kernel=1.0):
     """<= 50 triangles, suitable for dense verification."""
     spec = GeometrySpec(inner=Rect(0, 0, 1, 1), outer=Rect(-1, -1, 2, 2))
     mesh = build_mesh(spec, 1.0)
     assert mesh.n_triangles <= 50
     basis = build_basis(N)
     coup = coupling_matrices(basis, quadrature_for_order(N))
-    coeffs = extend_coefficients(mesh, 2.0, 1.0, 1.0, a=1.5)
+    coeffs = extend_coefficients(mesh, 2.0, kernel, 1.0, a=1.5)
     blocks = build_operator(mesh, basis, coup, coeffs)
     qp, qm = project_source(mesh, basis, 1.0, isotropic=True)
     return mesh, basis, blocks, qp, qm
@@ -217,6 +220,52 @@ class TestPreconditioners:
         _, _, blocks, _, _ = small_instance()
         with pytest.raises(ValueError):
             build_preconditioner(blocks, "multigrid")
+
+    @pytest.mark.parametrize("N", [3, 5])
+    @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])
+    def test_degree_blocks_are_order_means_of_schur_blocks(self, N, modes):
+        # each block is the mean over all 2l+1 orders of the diagonal blocks
+        # of the dense S of the full basis, for a restricted class too
+        _, basis, blocks, _, _ = small_instance(N, kernel=[1.0, 0.3, 0.1])
+        m_e, r_e, b_e, c_e = explicit_matrices(blocks)
+        s_dense = ((m_e + r_e).toarray()
+                   + b_e.T.toarray() @ np.diag(1.0 / c_e.diagonal()) @ b_e.toarray())
+        n = basis.n_plus
+        mean = {l: np.mean([s_dense[e::n, e::n] for e in cols], axis=0)
+                for l, cols in blocks.mode_groups}
+        sub_basis = basis if modes == "full" else getattr(basis, modes)()
+        sub = blocks.restrict(sub_basis)
+        degree_blocks = _degree_blocks(sub)
+        assert len(degree_blocks) == len(sub.mode_groups) > 0
+        for (l, cols), (cols_b, block) in zip(sub.mode_groups, degree_blocks):
+            assert np.array_equal(cols, cols_b)
+            assert (np.linalg.norm(block.toarray() - mean[l])
+                    <= 1e-12 * np.linalg.norm(mean[l]))
+
+    @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])
+    def test_both_kinds_come_from_the_degree_blocks(self, modes):
+        _, basis, blocks, _, _ = small_instance(5, kernel=[1.0, 0.3, 0.1])
+        sub = blocks if modes == "full" else blocks.restrict(getattr(basis, modes)())
+        shape = (sub.mesh.n_vertices, sub.basis.n_plus)
+        jac = JacobiPreconditioner(sub)
+        blk = BlockSpatialPreconditioner(sub)
+        degree_blocks = _degree_blocks(sub)
+        # one LU per even degree of the class, not one per mode
+        assert len(blk._solvers) == len(np.unique(sub.basis.even_degrees()))
+        r = RNG.normal(size=sub.n_even)
+        inv_diag, z = jac._inv_diag.reshape(shape), blk.apply(r).reshape(shape)
+        for cols, block in degree_blocks:
+            assert np.all(inv_diag[:, cols] == 1.0 / block.diagonal()[:, None])
+            want = np.linalg.solve(block.toarray(), r.reshape(shape)[:, cols])
+            assert np.allclose(z[:, cols], want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kind", [JACOBI, BLOCK_SPATIAL])
+    def test_singular_odd_block_rejected(self, kind):
+        _, _, blocks, _, _ = small_instance()
+        blocks.c_diag = blocks.c_diag.copy()
+        blocks.c_diag[3, 1] = 0.0
+        with pytest.raises(NumericalError):
+            build_preconditioner(blocks, kind)
 
     def test_block_spatial_beats_jacobi_on_desk_case(self):
         # comparison is recorded, not asserted numerically
