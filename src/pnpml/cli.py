@@ -359,6 +359,8 @@ def convergence_study(cfg: RunConfig, threads: int = 1):
     tol, max_iter, precond = _solver_options(cfg)
     if ref_level < max(levels):
         raise ConfigError("the reference level must be at least as fine as the sweep")
+    if ref_n < max(sweep_n):
+        raise ConfigError("the reference order must be at least the largest swept order")
 
     # reference first (also warms the mesh chain serially)
     ref = cache.solve_case(ref_n, ref_level, ref_exp_al, tol, max_iter, precond)

@@ -262,6 +262,24 @@ class Mesh2D:
                           counts=counts[order], tri_edges=rank[inverse].reshape(-1, 3))
 
     @cached_property
+    def _corners(self) -> np.ndarray:
+        """Corners x, y and edge vectors ex, ey (edge k: corner k to k + 1), (nt, 4, 3)."""
+        x, y = self.vertices[self.triangles, 0], self.vertices[self.triangles, 1]
+        return np.stack([x, y, x[:, [1, 2, 0]] - x, y[:, [1, 2, 0]] - y], axis=1)
+
+    @cached_property
+    def _neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """Across each local edge k of each triangle, both (nt, 3): the
+        neighbour triangle or -1, and the ``boundary_edges`` index or -1."""
+        edge, counts = self._edges.tri_edges, self._edges.counts
+        flat = np.arange(edge.size).reshape(edge.shape)
+        # the flat positions 3t + k of an interior edge's two holders sum to its total
+        total = np.bincount(edge.ravel(), weights=flat.ravel()).astype(np.int64)
+        inner = counts[edge] == 2
+        bidx = np.cumsum(counts == 1) - 1
+        return np.where(inner, (total[edge] - flat) // 3, -1), np.where(inner, -1, bidx[edge])
+
+    @cached_property
     def _boundary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(edges, outward normals, lengths, owner triangles) of the outer
         boundary: the edges of the table that one triangle holds."""

@@ -2,12 +2,12 @@
 and a discrete-ordinates source iteration with vacuum or reflective
 boundaries.
 
-Rays are traced through the triangulation once per planar direction, shared
-by every ordinate with that direction; absorption is integrated exactly per
-crossed triangle (piecewise-constant data) and smooth external sources by
-per-segment Gauss quadrature.  The traced geometry is frozen into sparse sweep
-matrices, so each source-iteration step reduces to a handful of matrix-vector
-products.
+Rays are traced once per planar direction, shared by every ordinate with that
+direction, by a walk over the triangle adjacency; absorption is integrated
+exactly per crossed triangle (piecewise-constant data) and smooth external
+sources by per-segment Gauss quadrature.  The traced geometry is frozen into
+sparse sweep matrices, so each source-iteration step reduces to a handful of
+matrix-vector products.
 """
 
 from __future__ import annotations
@@ -80,59 +80,6 @@ class SampledField:
     mesh: Mesh2D
 
 
-def _ray_triangle_intervals(mesh: Mesh2D, starts: np.ndarray, u: np.ndarray):
-    """Parameter intervals [lo, hi] where each backward ray start - t*u lies
-    inside each triangle.  Yields (lo, hi), each (rays, nt), per chunk of
-    128 rays."""
-    a, b, c = mesh.corner_coords()
-    # half-plane data: edge (p, q) of a CCW triangle keeps the interior where
-    # cross(q - p, x - p) >= 0
-    ps = np.stack([a, b, c])          # (3, nt, 2)
-    qs = np.stack([b, c, a])
-    e = qs - ps                       # (3, nt, 2)
-    cu = e[..., 0] * (-u[1]) - e[..., 1] * (-u[0])   # cross(e, -u), (3, nt)
-
-    big = 1e30
-    n = starts.shape[0]
-    for s0 in range(0, n, 128):
-        r = starts[s0:s0 + 128]       # (m, 2)
-        d = r[None, None, :, :] - ps[:, :, None, :]  # (3, nt, m, 2)
-        c0 = e[..., None, 0] * d[..., 1] - e[..., None, 1] * d[..., 0]  # (3, nt, m)
-        # inside condition: c0 + t * cu >= 0
-        cut = cu[..., None]
-        lo = np.zeros_like(c0)
-        hi = np.full_like(c0, big)
-        pos = cut > 1e-14
-        neg = cut < -1e-14
-        par = ~(pos | neg)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = -c0 / np.where(par, 1.0, cut)
-        lo = np.where(pos, np.maximum(lo, bound), lo)
-        hi = np.where(neg, np.minimum(hi, bound), hi)
-        # parallel edge with the ray strictly outside: empty interval
-        hi = np.where(par & (c0 < -1e-12), -big, hi)
-        lo_all = lo.max(axis=0).T     # (m, nt)
-        hi_all = hi.min(axis=0).T
-        yield lo_all, hi_all
-
-
-def _segments_for_ray(lo: np.ndarray, hi: np.ndarray, tol: float):
-    """Partition of the crossed part of a ray into (triangle, t0, t1) pieces,
-    resolved at segment midpoints so overlap/gap roundoff cannot double-count."""
-    cand = np.flatnonzero(hi > lo + tol)
-    if cand.size == 0:
-        return cand, np.empty(0), np.empty(0)
-    pts = np.unique(np.concatenate([lo[cand], hi[cand]]))
-    pts = pts[pts >= -tol]
-    keep = np.diff(pts) > tol
-    t0, t1 = pts[:-1][keep], pts[1:][keep]
-    mid = 0.5 * (t0 + t1)
-    inside = (lo[cand, None] <= mid) & (mid <= hi[cand, None])  # (ncand, nseg)
-    found = inside.any(axis=0)
-    tri = cand[inside.argmax(axis=0)]
-    return tri[found], np.maximum(t0[found], 0.0), t1[found]
-
-
 @dataclass(frozen=True)
 class _Trace:
     """Backward rays start - t*u cut into per-triangle segments, stored flat
@@ -144,38 +91,57 @@ class _Trace:
     t0: np.ndarray               # (ns,)
     t1: np.ndarray               # (ns,)
     exit_point: np.ndarray       # (n_rays, 2) where each ray leaves the mesh
-    exit_edge: np.ndarray        # (n_rays,) boundary edge it leaves through
     q_nodes: np.ndarray | None   # (ns, 4) analytic source at the Gauss nodes
 
 
-def _trace(mesh: Mesh2D, starts: np.ndarray, u: np.ndarray, q=None,
-           q_mask: np.ndarray | None = None) -> _Trace:
-    """Trace the backward rays from ``starts`` along the planar direction u
-    and sample ``q`` (zero outside ``q_mask``) at every segment's Gauss nodes.
+def _trace(mesh: Mesh2D, starts: np.ndarray, start_tri: np.ndarray, u: np.ndarray,
+           q=None, q_mask: np.ndarray | None = None) -> _Trace:
+    """Walk the backward rays from ``starts`` in triangles ``start_tri`` along
+    the planar direction u and sample ``q`` (zero outside ``q_mask``) at every
+    segment's Gauss nodes.  All rays step together: each leaves its triangle
+    through the first edge it crosses among those it heads out of
+    (cross(e, -u) < 0) to the neighbour across it, or stops on the boundary."""
+    tol = 1e-12 * max(np.ptp(mesh.vertices), 1.0)
+    _, _, ex, ey = corners = mesh._corners.transpose(1, 0, 2)
+    cu = ex * (-u[1]) - ey * (-u[0])                  # cross(e, -u), (nt, 3)
+    # divisor and offset that turn a crossing into t; inf where not heading out
+    out = cu < -1e-14
+    geo = np.stack([*corners, np.where(out, -cu, 1.0), np.where(out, 0.0, np.inf)], axis=1)
 
-    A ray leaves through the boundary edge of its last triangle with the
-    nearest midpoint.  If that triangle owns none (roundoff may end a ray in
-    an interior neighbour; a ray that crosses none leaves at its start), the
-    nearest midpoint of all boundary edges decides."""
-    tol = 1e-12 * max(mesh.vertices.max() - mesh.vertices.min(), 1.0)
-    pieces = [_segments_for_ray(lo, hi, tol)
-              for lo_all, hi_all in _ray_triangle_intervals(mesh, starts, u)
-              for lo, hi in zip(lo_all, hi_all)]
-    tri, t0, t1 = (np.concatenate([p[i] for p in pieces]) for i in range(3))
-    n_seg = np.array([p[0].size for p in pieces])
-    ray = np.repeat(np.arange(n_seg.size), n_seg)
+    n = starts.shape[0]
+    live, tri, t = np.arange(n), np.asarray(start_tri), np.zeros(n)
+    rx, ry = starts[:, :1], starts[:, 1:]
+    steps = []
+    while live.size and len(steps) < mesh.n_triangles:
+        # a CCW triangle keeps its interior where cross(e, x - p) >= 0, and
+        # the ray crosses edge k where that reaches zero
+        g = geo.take(tri, axis=0)                     # x, y, ex, ey, divisor, offset
+        t_k = (g[:, 2] * (ry - g[:, 1]) - g[:, 3] * (rx - g[:, 0])) / g[:, 4] + g[:, 5]
+        k = t_k.argmin(axis=1)
+        t_prev, t = t, np.maximum(np.minimum.reduce(t_k, axis=1), t)
+        steps.append((live, tri, t_prev, t))
+        tri = mesh._neighbours[0][tri, k]
+        if np.minimum.reduce(tri) < 0:
+            on = tri >= 0
+            live, rx, ry, tri, t = live[on], rx[on], ry[on], tri[on], t[on]
+    if live.size:
+        raise RuntimeError(f"{live.size} rays did not leave the mesh in {mesh.n_triangles} steps")
+    # steps no longer than roundoff are dropped; the rest are in walk order,
+    # so a stable sort by ray orders each ray by t
+    ray, tri, t0, t1 = (np.concatenate(col) for col in zip(*steps))
+    kept = np.flatnonzero(t1 > t0 + tol)
+    order = kept[np.argsort(ray[kept], kind="stable")]
+    ray, tri, t1 = ray[order], tri[order], t1[order]
+    n_seg = np.bincount(ray, minlength=n)
     ends = np.cumsum(n_seg)
-    slot = np.arange(ray.size) - (ends - n_seg)[ray]
+    seg = np.arange(ray.size)
+    slot = seg - (ends - n_seg)[ray]
+    # each kept segment starts where the one before it on its ray ends
+    t0 = np.where(slot > 0, t1[seg - 1], 0.0)
 
-    crossed, last = n_seg > 0, ends[n_seg > 0] - 1
-    t_exit, last_tri = np.zeros(n_seg.size), np.full(n_seg.size, -1)
-    t_exit[crossed], last_tri[crossed] = t1[last], tri[last]
+    t_exit = np.zeros(n)
+    t_exit[n_seg > 0] = t1[ends[n_seg > 0] - 1]
     exit_point = starts - t_exit[:, None] * u[None, :]
-    owned = mesh.boundary_owners[None, :] == last_tri[:, None]  # (n_rays, nbe)
-    owned[~owned.any(axis=1)] = True
-    mids = mesh.vertices[mesh.boundary_edges].mean(axis=1)
-    dist = np.linalg.norm(mids[None, :, :] - exit_point[:, None, :], axis=2)
-    exit_edge = np.argmin(np.where(owned, dist, np.inf), axis=1)
 
     q_nodes = None
     if q is not None:
@@ -185,7 +151,23 @@ def _trace(mesh: Mesh2D, starts: np.ndarray, u: np.ndarray, q=None,
             tg = t0[on, None] + (t1 - t0)[on, None] * _GAUSS_NODES
             pts = starts[ray[on], None, :] - tg[..., None] * u
             q_nodes[on] = np.asarray(q(pts.reshape(-1, 2)), dtype=float).reshape(tg.shape)
-    return _Trace(ray, slot, tri, t0, t1, exit_point, exit_edge, q_nodes)
+    return _Trace(ray, slot, tri, t0, t1, exit_point, q_nodes)
+
+
+def _exit_edges(mesh: Mesh2D, trace: _Trace) -> np.ndarray:
+    """The boundary edge each ray leaves through: by nearest midpoint to its
+    exit point among those of the last triangle it crosses or, if that holds
+    none (it leaves at a vertex or crosses nothing), among all; lower index on a tie."""
+    n, exit_point = trace.exit_point.shape[0], trace.exit_point[:, None, :]
+    n_seg = np.bincount(trace.ray, minlength=n)
+    held = np.full((n, 3), -1)   # boundary edges of the last triangle, -1 for none
+    held[n_seg > 0] = np.sort(mesh._neighbours[1][trace.tri[np.cumsum(n_seg)[n_seg > 0] - 1]])
+    mids = mesh.vertices[mesh.boundary_edges].mean(axis=1)
+    dist = np.where(held >= 0, np.linalg.norm(mids[held] - exit_point, axis=2), np.inf)
+    exit_edge = held[np.arange(n), dist.argmin(axis=1)]
+    none = exit_edge < 0
+    exit_edge[none] = np.linalg.norm(mids - exit_point[none], axis=2).argmin(axis=1)
+    return exit_edge
 
 
 def _integrate(trace: _Trace, mu: np.ndarray, beta: float):
@@ -199,7 +181,7 @@ def _integrate(trace: _Trace, mu: np.ndarray, beta: float):
     mu_seg = mu[trace.tri]
     opt = mu_seg * beta * dt
     # optical depth before each segment, summed along its own ray in order
-    depth = np.zeros((trace.exit_edge.size, trace.slot.max(initial=0) + 2))
+    depth = np.zeros((trace.exit_point.shape[0], trace.slot.max(initial=0) + 2))
     depth[trace.ray, trace.slot + 1] = opt
     depth = np.cumsum(depth, axis=1)
     tau = depth[trace.ray, trace.slot]
@@ -231,6 +213,7 @@ class SweepOperator:
         self.mu = np.asarray(mu_tri, dtype=float)
         nt = mesh.n_triangles
         starts = np.vstack([mesh.centroids, mesh.vertices[mesh.boundary_edges].mean(axis=1)])
+        start_tri = np.concatenate([np.arange(nt), mesh.boundary_owners])
         self.n_rays = starts.shape[0]
 
         s_xy = ordinates.directions[:, :2]
@@ -248,12 +231,12 @@ class SweepOperator:
         for d in np.lexsort((u[:, 1], u[:, 0])):
             key = tuple(np.round(u[d], 12))
             if key not in traces:
-                traces[key] = _trace(mesh, starts, u[d], q_analytic, q_mask)
-            trace = traces[key]
+                trace = _trace(mesh, starts, start_tri, u[d], q_analytic, q_mask)
+                traces[key] = trace, _exit_edges(mesh, trace)
+            trace, self._exit_edge[d] = traces[key]
             w, self._exit_fac[d], q_line = _integrate(trace, self.mu, 1.0 / p[d])
             self._mats[d] = csr_matrix((w, (trace.ray, trace.tri)), shape=(self.n_rays, nt))
             self._qvec[d] = np.zeros(self.n_rays) if q_line is None else q_line
-            self._exit_edge[d] = trace.exit_edge
 
     def apply(self, src_tri: np.ndarray, inflow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One transport sweep: src_tri is the per-triangle isotropic source
@@ -336,12 +319,8 @@ def source_iteration(mesh: Mesh2D, coeffs: TransportCoefficients,
 
 
 def _locate_triangle(mesh: Mesh2D, r: np.ndarray) -> int:
-    a, b, c = mesh.corner_coords()
-    d1 = (b[:, 0] - a[:, 0]) * (r[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (r[0] - a[:, 0])
-    d2 = (c[:, 0] - b[:, 0]) * (r[1] - b[:, 1]) - (c[:, 1] - b[:, 1]) * (r[0] - b[:, 0])
-    d3 = (a[:, 0] - c[:, 0]) * (r[1] - c[:, 1]) - (a[:, 1] - c[:, 1]) * (r[0] - c[:, 0])
-    inside = (d1 >= -1e-12) & (d2 >= -1e-12) & (d3 >= -1e-12)
-    idx = np.flatnonzero(inside)
+    x, y, ex, ey = mesh._corners.transpose(1, 0, 2)
+    idx = np.flatnonzero(np.all(ex * (r[1] - y) - ey * (r[0] - x) >= -1e-12, axis=1))
     if idx.size == 0:
         raise ValueError("point lies outside the mesh")
     return int(idx[0])
@@ -360,19 +339,17 @@ def characteristics_solve(mesh: Mesh2D, coeffs: TransportCoefficients,
     else:
         src_tri = coeffs.source if q is None else np.asarray(q, dtype=float)
 
+    t_idx = _locate_triangle(mesh, r)
     p = np.hypot(s[0], s[1])
     if p <= 1e-14:
         # invariant-axis ray: balance absorption against the local source
-        t_idx = _locate_triangle(mesh, r)
         if mu[t_idx] <= 0:
             raise ValueError("vertical characteristic in a void has no steady state")
         dens = q(r[None, :])[0] if callable(q) else src_tri[t_idx]
         return float(dens / mu[t_idx])
 
-    trace = _trace(mesh, r[None, :], s[:2] / p, q if callable(q) else None,
-                   mesh.tags == INTERIOR)
-    if trace.tri.size == 0:
-        raise ValueError("ray does not intersect the mesh")
+    trace = _trace(mesh, r[None, :], np.array([t_idx]), s[:2] / p,
+                   q if callable(q) else None, mesh.tags == INTERIOR)
     w, exit_fac, q_line = _integrate(trace, mu, 1.0 / p)
     total = q_line[0] if callable(q) else w @ src_tri[trace.tri]
     if inflow is not None:

@@ -211,6 +211,8 @@ def pcg_solve(apply_s, rhs: np.ndarray, preconditioner=None, tol: float = 1e-7,
     to guard against drift.  Reductions run in fixed order, so repeated solves
     are bit-identical.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if callable(getattr(apply_s, "apply", None)):
         matvec = apply_s.apply
     else:

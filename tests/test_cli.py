@@ -305,6 +305,16 @@ class TestMain:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_reference_order_below_sweep_fails_before_solving(self, tmp_path, monkeypatch):
+        import pnpml.cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("no case may be solved for a rejected study")
+
+        monkeypatch.setattr(pnpml.cli._ProblemCache, "solve_case", no_solve)
+        path = self._write(tmp_path, STUDY.replace("study.n = 3", "study.n = 3 7"))
+        assert main(["--out-dir", str(tmp_path / "out"), "study", path]) == 2
+
     def test_nan_source_fails_fast(self, tmp_path, monkeypatch):
         import pnpml.solver
 

@@ -316,6 +316,29 @@ class TestBoundaryMass:
         assert mesh.boundary_owners.shape == mesh.boundary_lengths.shape
 
 
+class TestNeighbours:
+    @pytest.mark.parametrize("spec,h", SMALL_MESHES)
+    def test_symmetric_with_boundary_entries(self, spec, h):
+        for mesh in (build_mesh(spec, h), uniform_refine(build_mesh(spec, h))):
+            nbr, bnd = mesh._neighbours
+            tris = mesh.triangles
+            assert nbr.shape == bnd.shape == tris.shape
+            for t, k in np.ndindex(*tris.shape):
+                edge = {tris[t, k], tris[t, (k + 1) % 3]}
+                n = nbr[t, k]
+                if n >= 0:
+                    # the neighbour holds the same edge and sees t across it
+                    assert bnd[t, k] == -1
+                    back = [j for j in range(3) if nbr[n, j] == t]
+                    assert len(back) == 1
+                    assert {tris[n, back[0]], tris[n, (back[0] + 1) % 3]} == edge
+                else:
+                    b = bnd[t, k]
+                    assert set(mesh.boundary_edges[b]) == edge
+                    assert mesh.boundary_owners[b] == t
+            assert np.array_equal(np.sort(bnd[bnd >= 0]), np.arange(mesh.boundary_edges.shape[0]))
+
+
 class TestAsciiIO:
     def test_roundtrip(self, tmp_path):
         mesh = build_mesh(example1_spec(), 0.2)

@@ -15,6 +15,8 @@ from pnpml.oracle import (
     VACUUM,
     OrdinateSet,
     SweepOperator,
+    _exit_edges,
+    _trace,
     boundary_trace_norm,
     build_ordinates,
     characteristics_solve,
@@ -81,6 +83,19 @@ class TestCharacteristics:
         val = characteristics_solve(mesh, coeffs, r=(0.5, 0.375), s=(1.0, 0.0, 0.0))
         assert val == pytest.approx(0.5, abs=1e-12)
 
+    def test_boundary_point_whose_ray_leaves_at_once_takes_the_inflow(self):
+        # the backward ray from the left side along -x leaves the mesh at r
+        mesh = unit_square_mesh()
+        coeffs = extend_coefficients(mesh, 1.0, 0.0, 1.0, a=0.0)
+        assert characteristics_solve(mesh, coeffs, (0.0, 0.375), (1.0, 0.0, 0.0),
+                                     inflow=0.7) == 0.7
+
+    def test_point_outside_the_mesh_rejected(self):
+        mesh = unit_square_mesh()
+        coeffs = extend_coefficients(mesh, 1.0, 0.0, 1.0, a=0.0)
+        with pytest.raises(ValueError, match="outside the mesh"):
+            characteristics_solve(mesh, coeffs, (1.5, 0.375), (1.0, 0.0, 0.0), inflow=0.7)
+
     def test_two_segment_attenuation_matches_quadrature(self):
         mesh = unit_square_mesh(h=0.25)
 
@@ -143,6 +158,74 @@ def polygon_exit(mesh, r, u):
     w = (-u[0] * d[:, 1] + u[1] * d[:, 0]) / det
     hit = (w >= -1e-12) & (w <= 1 + 1e-12) & (t > 0)
     return float(t[hit].max())
+
+
+class TestWalk:
+    """Backward rays walked across the rect mesh at h = 0.25 from the sweep's
+    starts (centroids and boundary midpoints).  Its grid lines and diagonals
+    make the 0 and 45 degree rays (and their rotations) pass through vertices,
+    run along interior edges and graze boundary edges."""
+
+    @staticmethod
+    def rect_mesh():
+        return build_mesh(GeometrySpec(inner=Rect(0, 0, 1, 1), outer=Rect(-1, -1, 2, 2)), 0.25)
+
+    @staticmethod
+    def sweep_starts(mesh):
+        starts = np.vstack([mesh.centroids, mesh.vertices[mesh.boundary_edges].mean(axis=1)])
+        return starts, np.concatenate([np.arange(mesh.n_triangles), mesh.boundary_owners])
+
+    @pytest.mark.parametrize("azimuth", range(8))
+    def test_segments_partition_each_ray(self, azimuth):
+        mesh = self.rect_mesh()
+        nt = mesh.n_triangles
+        starts, start_tri = self.sweep_starts(mesh)
+        s = build_ordinates(4, 8).directions[azimuth]   # first polar level
+        u = s[:2] / np.hypot(s[0], s[1])
+        trace = _trace(mesh, starts, start_tri, u)
+        ray, t0, t1 = trace.ray, trace.t0, trace.t1
+
+        # contiguous, in order along each ray, starting at the start point
+        same = ray[1:] == ray[:-1]
+        assert np.all(np.diff(ray) >= 0)
+        assert np.array_equal(t1[:-1][same], t0[1:][same])
+        assert np.all(t0[np.r_[True, ~same]] == 0.0)
+        assert np.all(t1 > t0)
+        assert np.array_equal(trace.slot[1:][same], trace.slot[:-1][same] + 1)
+
+        # each segment's midpoint lies in its triangle
+        mid = starts[ray] - 0.5 * (t0 + t1)[:, None] * u
+        corners = mesh.vertices[mesh.triangles[trace.tri]]
+        for k in range(3):
+            p, q = corners[:, k], corners[:, (k + 1) % 3]
+            cross = (q[:, 0] - p[:, 0]) * (mid[:, 1] - p[:, 1]) \
+                - (q[:, 1] - p[:, 1]) * (mid[:, 0] - p[:, 0])
+            assert np.all(cross >= -1e-12)
+
+        # each ray's summed length is its distance to the boundary; a
+        # boundary start whose backward ray points out of the mesh crosses none
+        length = np.bincount(ray, weights=t1 - t0, minlength=starts.shape[0])
+        leaves = np.r_[np.zeros(nt, dtype=bool), mesh.boundary_normals @ -u > 1e-12]
+        assert np.all(length[leaves] == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exits = [polygon_exit(mesh, r, u) for r in starts[~leaves]]
+        assert np.allclose(length[~leaves], exits, rtol=0.0, atol=1e-12)
+
+        # each ray leaves on its exit edge; some leave through a vertex
+        a, b = (mesh.vertices[mesh.boundary_edges[_exit_edges(mesh, trace), i]] for i in (0, 1))
+        w = np.clip(np.sum((trace.exit_point - a) * (b - a), axis=1)
+                    / np.sum((b - a) ** 2, axis=1), 0.0, 1.0)
+        assert np.all(np.linalg.norm(a + w[:, None] * (b - a) - trace.exit_point, axis=1) <= 1e-12)
+        assert np.any(np.isclose(w, 0.0, atol=1e-12) | np.isclose(w, 1.0, atol=1e-12))
+
+    def test_ray_that_never_leaves_raises(self):
+        mesh = self.rect_mesh()
+        nbr, bnd = mesh._neighbours
+        # send every boundary crossing back into its own triangle
+        own = np.broadcast_to(np.arange(mesh.n_triangles)[:, None], nbr.shape)
+        mesh.__dict__["_neighbours"] = (np.where(nbr < 0, own, nbr), bnd)
+        with pytest.raises(RuntimeError, match="did not leave the mesh"):
+            _trace(mesh, mesh.centroids, np.arange(mesh.n_triangles), np.array([1.0, 0.0]))
 
 
 class TestSweepSharing:

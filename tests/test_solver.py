@@ -146,6 +146,10 @@ class TestPCG:
         assert not report.converged
         assert report.iterations == 2 and len(report.residual_history) == 2
 
+    def test_budget_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            pcg_solve(lambda v: v, np.ones(3), max_iter=0)
+
     def test_deterministic(self):
         _, _, blocks, qp, qm = small_instance()
         op = SchurOperator(blocks)
