@@ -9,8 +9,10 @@ modes.  The four system blocks are
   B: sum over i in {x, y} of (P1 -> P0 directional stiffness) kron T_i
   C: diagonal, |T| * (mu_T - sigma_l) per (triangle, odd mode)
 
-All operator applications are matrix-free over the Kronecker factors; explicit
-sparse assembly exists for small-instance verification only.
+All operator applications are matrix-free over the Kronecker factors, on
+(space, mode) arrays in C order: a sparse spatial product, then a product with
+a dense copy of T_i.  Explicit sparse assembly exists for small-instance
+verification only.
 """
 
 from __future__ import annotations
@@ -128,8 +130,8 @@ class BlockOperator:
 
     def __post_init__(self):
         self.mode_groups = degree_groups(self.basis.even_degrees())
-        # CSR .T is a CSC view of the same arrays: no copy, built once
-        self._transposed = (self.g_x.T, self.g_y.T, self.t_x.T, self.t_y.T)
+        # dense angular factors (55 x 45 at N = 9) keep B and B^T in C order
+        self._t_dense = (self.t_x.toarray(), self.t_y.toarray())
 
     @property
     def n_even(self) -> int:
@@ -149,14 +151,14 @@ class BlockOperator:
         return self.boundary @ u_even
 
     def apply_transport(self, u_even: np.ndarray) -> np.ndarray:
-        """B u: (nv, n_plus) -> (nt, n_minus)."""
-        return ((self.t_x @ (self.g_x @ u_even).T).T
-                + (self.t_y @ (self.g_y @ u_even).T).T)
+        """B u = (G_x u) T_x^T + (G_y u) T_y^T: (nv, n_plus) -> (nt, n_minus)."""
+        t_x, t_y = self._t_dense
+        return (self.g_x @ u_even) @ t_x.T + (self.g_y @ u_even) @ t_y.T
 
     def apply_transport_t(self, v_odd: np.ndarray) -> np.ndarray:
-        """B^T v: (nt, n_minus) -> (nv, n_plus)."""
-        g_x_t, g_y_t, t_x_t, t_y_t = self._transposed
-        return g_x_t @ (t_x_t @ v_odd.T).T + g_y_t @ (t_y_t @ v_odd.T).T
+        """B^T v = G_x^T (v T_x) + G_y^T (v T_y): (nt, n_minus) -> (nv, n_plus)."""
+        t_x, t_y = self._t_dense
+        return self.g_x.T @ (v_odd @ t_x) + self.g_y.T @ (v_odd @ t_y)
 
     def solve_odd_diag(self, v_odd: np.ndarray) -> np.ndarray:
         if np.any(self.c_diag == 0):

@@ -136,7 +136,10 @@ class RunConfig:
             if default is None:
                 raise ConfigError(f"missing required config key {key!r}")
             return list(default)
-        return [_finite(key, tok) for tok in raw.split()]
+        tokens = raw.split()
+        if not tokens:
+            raise ConfigError(f"{key}: expected at least one number, got an empty list")
+        return [_finite(key, tok) for tok in tokens]
 
     def get_ints(self, key: str, default: list[int] | None = None) -> list[int]:
         vals = self.get_floats(key, None if default is None else [float(v) for v in default])

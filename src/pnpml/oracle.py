@@ -222,36 +222,31 @@ class SweepOperator:
             raise ValueError("ordinate parallel to the invariant axis")
         u = s_xy / p[:, None]
 
-        nd = ordinates.n_dirs
-        self._mats, self._qvec, self._exit_edge, self._exit_fac = ([None] * nd for _ in range(4))
-        traces = {}
+        self._sweeps = [None] * ordinates.n_dirs
+        traces, sweeps = {}, {}
         # directions equal up to roundoff share one trace (a group split by the
         # rounding only costs an extra trace), taken along the group's smallest
-        # u in lexicographic order whatever the order of the ordinate set
+        # u in lexicographic order whatever the order of the ordinate set;
+        # ordinates mirrored in s_z share the exact |s_xy| and so one sweep
         for d in np.lexsort((u[:, 1], u[:, 0])):
             key = tuple(np.round(u[d], 12))
             if key not in traces:
                 trace = _trace(mesh, starts, start_tri, u[d], q_analytic, q_mask)
                 traces[key] = trace, _exit_edges(mesh, trace)
-            trace, self._exit_edge[d] = traces[key]
-            w, self._exit_fac[d], q_line = _integrate(trace, self.mu, 1.0 / p[d])
-            self._mats[d] = csr_matrix((w, (trace.ray, trace.tri)), shape=(self.n_rays, nt))
-            self._qvec[d] = np.zeros(self.n_rays) if q_line is None else q_line
+            trace, exit_edge = traces[key]
+            if (key, p[d]) not in sweeps:
+                w, exit_fac, q_line = _integrate(trace, self.mu, 1.0 / p[d])
+                mat = csr_matrix((w, (trace.ray, trace.tri)), shape=(self.n_rays, nt))
+                sweeps[key, p[d]] = mat, 0.0 if q_line is None else q_line, exit_fac, exit_edge
+            self._sweeps[d] = sweeps[key, p[d]]
 
     def apply(self, src_tri: np.ndarray, inflow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One transport sweep: src_tri is the per-triangle isotropic source
         density, inflow the boundary data (nbe, nd)."""
+        vals = np.column_stack([mat @ src_tri + q_line + exit_fac * inflow[edge, d]
+                                for d, (mat, q_line, exit_fac, edge) in enumerate(self._sweeps)])
         nt = self.mesh.n_triangles
-        nd = self.ordinates.n_dirs
-        tri = np.empty((nt, nd))
-        bdry = np.empty((inflow.shape[0], nd))
-        for d in range(nd):
-            vals = (self._mats[d] @ src_tri
-                    + self._qvec[d]
-                    + self._exit_fac[d] * inflow[self._exit_edge[d], d])
-            tri[:, d] = vals[:nt]
-            bdry[:, d] = vals[nt:]
-        return tri, bdry
+        return vals[:nt], vals[nt:]
 
 
 def _iteration_cap(coeffs: TransportCoefficients) -> int:

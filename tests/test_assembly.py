@@ -213,24 +213,30 @@ class TestProjectSource:
 
 
 class TestKroneckerConsistency:
-    def test_matrix_free_matches_explicit(self):
+    @pytest.mark.parametrize("N", [3, 5])
+    @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])
+    def test_matrix_free_matches_explicit(self, modes, N):
         spec = GeometrySpec(inner=Rect(0, 0, 1, 1), outer=Rect(-1, -1, 2, 2))
         mesh = build_mesh(spec, 1.0)  # 18 triangles
         assert mesh.n_triangles <= 50
-        basis = build_basis(3)
-        coup = coupling_matrices(basis, quadrature_for_order(3))
-        coeffs = extend_coefficients(mesh, 2.0, 1.0, 1.0, a=1.5)
+        basis = build_basis(N)
+        coup = coupling_matrices(basis, quadrature_for_order(N))
+        coeffs = extend_coefficients(mesh, 2.0, [1.0, 0.5, 0.2], 1.0, a=1.5)
         op = build_operator(mesh, basis, coup, coeffs)
+        if modes != "full":
+            op = op.restrict(getattr(basis, modes)())
         m_e, r_e, b_e, c_e = explicit_matrices(op)
 
         for _ in range(10):
-            U = RNG.normal(size=(mesh.n_vertices, basis.n_plus))
-            V = RNG.normal(size=(mesh.n_triangles, basis.n_minus))
+            U = RNG.normal(size=(mesh.n_vertices, op.basis.n_plus))
+            V = RNG.normal(size=(mesh.n_triangles, op.basis.n_minus))
             u, v = U.ravel(), V.ravel()
+            bu, btv = op.apply_transport(U), op.apply_transport_t(V)
+            assert bu.flags.c_contiguous and btv.flags.c_contiguous
             assert np.allclose(op.apply_mass(U).ravel(), m_e @ u, atol=1e-12)
             assert np.allclose(op.apply_boundary(U).ravel(), r_e @ u, atol=1e-12)
-            assert np.allclose(op.apply_transport(U).ravel(), b_e @ u, atol=1e-12)
-            assert np.allclose(op.apply_transport_t(V).ravel(), b_e.T @ v, atol=1e-12)
+            assert np.allclose(bu.ravel(), b_e @ u, atol=1e-12)
+            assert np.allclose(btv.ravel(), b_e.T @ v, atol=1e-12)
             assert np.allclose((op.c_diag * V).ravel(), c_e @ v, atol=1e-12)
 
     def test_sparsity_counts(self):

@@ -73,6 +73,11 @@ class TestConfigParsing:
         assert cfg.get_ints("x.list") == [1, 2, 3]
         with pytest.raises(ConfigError):
             cfg.get_int("x.f")
+        empty = RunConfig.parse("x.list =\n")
+        with pytest.raises(ConfigError):
+            empty.get_floats("x.list")
+        with pytest.raises(ConfigError):
+            empty.get_ints("x.list", default=[1])
 
     def test_geometry_roundtrip(self):
         cfg = RunConfig.parse(EXAMPLE1)
@@ -192,6 +197,18 @@ class TestStudy:
         cfg = RunConfig.parse(STUDY)
         cfg.data["study.levels"] = "0 2"
         cfg.data["study.ref_level"] = "1"
+        with pytest.raises(ConfigError):
+            convergence_study(cfg)
+
+    def test_empty_levels_rejected_before_any_solve(self, monkeypatch):
+        import pnpml.solver
+
+        def no_pcg(*args, **kwargs):
+            raise AssertionError("PCG must not start on an empty sweep")
+
+        monkeypatch.setattr(pnpml.solver, "pcg_solve", no_pcg)
+        cfg = RunConfig.parse(STUDY)
+        cfg.data["study.levels"] = ""
         with pytest.raises(ConfigError):
             convergence_study(cfg)
 
@@ -335,8 +352,9 @@ class TestMain:
         ("solver.tol = 1e-7", "solver.tol = nan", []),
         ("", "", ["--tol", "nan"]),
         ("solver.tol = 1e-7", "solver.max_iter = 0", []),
+        ("pml.exp_al = 0.25", "pml.exp_al =", []),
     ], ids=["n-nan", "n-inf", "base_h-nan", "source-word", "kernel-negative",
-            "tol-nan", "tol-flag-nan", "max_iter-zero"])
+            "tol-nan", "tol-flag-nan", "max_iter-zero", "exp_al-empty"])
     def test_malformed_numbers_fail_fast(self, tmp_path, monkeypatch, old, new, flags):
         import pnpml.solver
 

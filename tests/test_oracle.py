@@ -252,6 +252,14 @@ class TestSweepSharing:
         assert np.array_equal(tri[:, mirror], tri)
         assert np.array_equal(bdry[:, mirror], bdry)
 
+    def test_z_mirrored_ordinates_share_their_matrix(self):
+        ords = build_ordinates(4, 8)
+        _, _, _, sweep = self.setup_sweep(ords)
+        mirror = np.arange(ords.n_dirs).reshape(4, 8)[::-1].ravel()
+        mats = [m for m, *_ in sweep._sweeps]
+        assert all(mats[d] is mats[mirror[d]] for d in range(ords.n_dirs))
+        assert len({id(m) for m in mats}) == ords.n_dirs // 2
+
     def test_permuted_ordinates_permute_columns(self):
         ords = build_ordinates(4, 8)
         perm = np.random.default_rng(4).permutation(ords.n_dirs)
