@@ -189,6 +189,10 @@ def quadrature_for_order(N: int) -> SphereQuadrature:
     return sphere_quadrature((2 * N + 3 + 1) // 2, 2 * N + 3)
 
 
+# couplings below this magnitude are round-off of exact zeros
+_DROP_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class AngularCouplings:
     """Transfer matrices (T_i)[o, e] = int_S s_i * Y_odd_o * Y_even_e ds."""
@@ -201,8 +205,7 @@ class AngularCouplings:
         return (self.t_x, self.t_y, self.t_z)[i]
 
 
-def coupling_matrices(basis: AngularBasis, quad: SphereQuadrature,
-                      drop_tol: float = 1e-12) -> AngularCouplings:
+def coupling_matrices(basis: AngularBasis, quad: SphereQuadrature) -> AngularCouplings:
     """Compute the direction-coupling matrices by quadrature.
 
     The quadrature must be exact to total degree 2N+2 so that, for odd N,
@@ -214,7 +217,7 @@ def coupling_matrices(basis: AngularBasis, quad: SphereQuadrature,
     for i in range(3):
         weighted = odd_tab * (quad.weights * quad.nodes[:, i])[:, None]
         dense = weighted.T @ even_tab
-        dense[np.abs(dense) < drop_tol] = 0.0
+        dense[np.abs(dense) < _DROP_TOL] = 0.0
         mats.append(csr_matrix(dense))
     return AngularCouplings(t_x=mats[0], t_y=mats[1], t_z=mats[2])
 

@@ -203,8 +203,8 @@ def build_operator(mesh: Mesh2D, basis: AngularBasis, couplings: AngularCoupling
     )
 
 
-def project_source(mesh: Mesh2D, basis: AngularBasis, q, isotropic: bool = True,
-                   quad=None) -> tuple[np.ndarray, np.ndarray]:
+def project_source(mesh: Mesh2D, basis: AngularBasis, q,
+                   isotropic: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Load vectors (q_plus, q_minus) for a source supported on the inner
     region (the extension zeroes the source in the layer).
 
@@ -227,7 +227,7 @@ def project_source(mesh: Mesh2D, basis: AngularBasis, q, isotropic: bool = True,
         q_plus[:, mode0] = np.sqrt(4 * np.pi) * (mass_int @ vertex_vals)
         return q_plus, q_minus
 
-    quad = quad or quadrature_for_order(basis.order)
+    quad = quadrature_for_order(basis.order)
     even_tab = basis.evaluate_even(quad.nodes)
     odd_tab = basis.evaluate_odd(quad.nodes)
 

@@ -43,6 +43,8 @@ from pnpml.mesh import (
 )
 from pnpml.pml import ModelError, extend_coefficients
 from pnpml.solver import (
+    BLOCK_SPATIAL,
+    PRECONDITIONERS,
     ConvergenceError,
     NumericalError,
     SolveReport,
@@ -61,6 +63,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "N,h,exp_al,e_h,iters,seconds,dofs_even,dofs_odd"
+
+# export format (output.field_format) -> suffix of the written file
+_EXPORT_SUFFIX = {"csv": "csv", "vtk": "vtk", "vtk_legacy": "vtk"}
 
 # standard 7x7 shielding lattice: absorbing cells in a checkerboard around the
 # central source cell, symmetric left-right, open directly above the source
@@ -148,12 +153,6 @@ class RunConfig:
         return [int(v) for v in vals]
 
 
-def _check_odd_order(n: int) -> int:
-    if n < 1 or n % 2 == 0:
-        raise ConfigError(f"truncation order must be odd and >= 1, got {n}")
-    return n
-
-
 def _check_exp_al(value: float) -> float:
     if not 0.0 < value <= 1.0:
         raise ConfigError(f"pml damping target exp(-a*l) must lie in (0, 1], got {value}")
@@ -239,42 +238,37 @@ class CaseResult:
 
 
 class _ProblemCache:
-    """Meshes, bases, and couplings shared across the cases of one run."""
+    """Everything the cases of one run share, built before any solve: the
+    geometry and physics, the mesh chain ``meshes[0..max(levels)]`` and the
+    basis and couplings ``angular[n]`` of every order.  Read-only after
+    construction, so study threads share it without a lock."""
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, levels: list[int], orders: list[int]):
+        if min(levels) < 0:
+            raise ConfigError("refinement level must be nonnegative")
         self.cfg = cfg
         self.spec = geometry_from_config(cfg)
         self.mu, self.kernel, self.source = physics_from_config(cfg)
-        self.base_h = cfg.get_float("disc.base_h")
         self.ell = self.spec.layer_depth
         self.eta = self.spec.grazing_sine
-        self._meshes: list[Mesh2D] = []
-        self._angular = {}
-
-    def mesh(self, level: int) -> Mesh2D:
-        if level < 0:
-            raise ConfigError("refinement level must be nonnegative")
-        if not self._meshes:
+        self.angular = {}
+        for n in sorted(set(orders)):
             try:
-                self._meshes.append(build_mesh(self.spec, self.base_h))
-            except GeometryError as exc:
+                basis = build_basis(n)
+            except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-        while len(self._meshes) <= level:
-            self._meshes.append(uniform_refine(self._meshes[-1]))
-        return self._meshes[level]
-
-    def angular(self, n: int):
-        if n not in self._angular:
-            basis = build_basis(_check_odd_order(n))
-            coup = coupling_matrices(basis, quadrature_for_order(n))
-            self._angular[n] = (basis, coup)
-        return self._angular[n]
+            self.angular[n] = (basis, coupling_matrices(basis, quadrature_for_order(n)))
+        try:
+            self.meshes = [build_mesh(self.spec, cfg.get_float("disc.base_h"))]
+        except GeometryError as exc:
+            raise ConfigError(str(exc)) from exc
+        for _ in range(max(levels)):
+            self.meshes.append(uniform_refine(self.meshes[-1]))
 
     def solve_case(self, n: int, level: int, exp_al: float, tol: float,
                    max_iter: int, precond_kind: str) -> CaseResult:
-        _check_exp_al(exp_al)
-        basis, coup = self.angular(n)
-        mesh = self.mesh(level)
+        basis, coup = self.angular[n]
+        mesh = self.meshes[level]
         a = -np.log(exp_al) / self.ell
         coeffs = extend_coefficients(mesh, self.mu, self.kernel, self.source, a=a)
         blocks = build_operator(mesh, basis, coup, coeffs)
@@ -300,25 +294,21 @@ def _solver_options(cfg: RunConfig):
     max_iter = cfg.get_int("solver.max_iter", 10000)
     if max_iter < 1:
         raise ConfigError("solver iteration budget must be at least 1")
-    precond = cfg.get("solver.precond", "block_spatial").lower()
+    precond = cfg.get("solver.precond", BLOCK_SPATIAL).lower()
+    if precond not in PRECONDITIONERS:
+        raise ConfigError(f"unknown solver.precond {precond!r}; "
+                          f"expected one of {', '.join(sorted(PRECONDITIONERS))}")
     return tol, max_iter, precond
 
 
 def run_case(cfg: RunConfig) -> CaseResult:
     """Single end-to-end solve of the configured problem."""
-    cache = _ProblemCache(cfg)
     n = cfg.get_int("disc.n")
     level = cfg.get_int("disc.level", 0)
-    exp_al = cfg.get_floats("pml.exp_al")[0]
+    exp_al = _check_exp_al(cfg.get_floats("pml.exp_al")[0])
     tol, max_iter, precond = _solver_options(cfg)
+    cache = _ProblemCache(cfg, [level], [n])
     return cache.solve_case(n, level, exp_al, tol, max_iter, precond)
-
-
-def _mode_embedding(coarse: AngularBasis, fine: AngularBasis):
-    # index lists are sorted by (l, m), so a lower order is a prefix
-    assert fine.even_indices[:coarse.n_plus] == coarse.even_indices
-    assert fine.odd_indices[:coarse.n_minus] == coarse.odd_indices
-    return coarse.n_plus, coarse.n_minus
 
 
 def _error_vs_reference(cache: _ProblemCache, case: CaseResult, level: int,
@@ -329,17 +319,17 @@ def _error_vs_reference(cache: _ProblemCache, case: CaseResult, level: int,
     prolonged up the cache's own mesh chain."""
     even = case.field.even
     odd = case.field.odd
-    for lvl in range(level, ref_level):
-        even = p1_prolong(cache.mesh(lvl), even)
+    for coarse in cache.meshes[level:ref_level]:
+        even = p1_prolong(coarse, even)
         odd = p0_prolong(odd)
     if even.shape[0] != ref.mesh.n_vertices:
         raise ConfigError("case and reference grids are not nested")
 
-    n_plus, n_minus = _mode_embedding(case.basis, ref.basis)
+    even_pos, odd_pos = ref.basis.positions(case.basis)
     d_even = ref.field.even.copy()
-    d_even[:, :n_plus] -= even
+    d_even[:, even_pos] -= even
     d_odd = ref.field.odd.copy()
-    d_odd[:, :n_minus] -= odd
+    d_odd[:, odd_pos] -= odd
 
     err2 = (even_l2_norm2(ref.mesh, d_even, interior_only=True)
             + odd_l2_norm2(ref.mesh, d_odd, interior_only=True)
@@ -352,11 +342,10 @@ def convergence_study(cfg: RunConfig, threads: int = 1):
 
     Returns (rows, csv_text); each row is a dict with the CSV fields.
     """
-    cache = _ProblemCache(cfg)
-    sweep_n = [_check_odd_order(n) for n in cfg.get_ints("study.n")]
+    sweep_n = cfg.get_ints("study.n")
     levels = cfg.get_ints("study.levels")
     exp_als = [_check_exp_al(v) for v in cfg.get_floats("pml.exp_al")]
-    ref_n = _check_odd_order(cfg.get_int("study.ref_n"))
+    ref_n = cfg.get_int("study.ref_n")
     ref_level = cfg.get_int("study.ref_level")
     ref_exp_al = _check_exp_al(cfg.get_float("study.ref_exp_al"))
     tol, max_iter, precond = _solver_options(cfg)
@@ -364,16 +353,11 @@ def convergence_study(cfg: RunConfig, threads: int = 1):
         raise ConfigError("the reference level must be at least as fine as the sweep")
     if ref_n < max(sweep_n):
         raise ConfigError("the reference order must be at least the largest swept order")
+    cache = _ProblemCache(cfg, levels + [ref_level], sweep_n + [ref_n])
 
-    # reference first (also warms the mesh chain serially)
     ref = cache.solve_case(ref_n, ref_level, ref_exp_al, tol, max_iter, precond)
-
     cases = [(n, level, exp_al) for n in sweep_n for level in levels
              for exp_al in exp_als]
-    # the cache fills lazily without a lock: fill it before any worker starts
-    for n, level, _ in cases:
-        cache.mesh(level)
-        cache.angular(n)
 
     def run_one(args):
         n, level, exp_al = args
@@ -410,40 +394,46 @@ def angular_mean(field: Field, basis: AngularBasis) -> np.ndarray:
     return np.sqrt(4 * np.pi) * field.even[:, mode0]
 
 
+def _export_suffix(fmt: str) -> str:
+    suffix = _EXPORT_SUFFIX.get(fmt.lower())
+    if suffix is None:
+        raise ConfigError(f"unknown export format {fmt!r}; "
+                          f"expected one of {', '.join(_EXPORT_SUFFIX)}")
+    return suffix
+
+
 def export_field(field: Field, mesh: Mesh2D, basis: AngularBasis,
                  fmt: str, path) -> Path:
     """Write the angular mean with coordinates, as CSV or legacy VTK."""
+    suffix = _export_suffix(fmt)
     path = Path(path)
     mean = angular_mean(field, basis)
-    fmt = fmt.lower()
-    if fmt == "csv":
+    if suffix == "csv":
         with open(path, "w") as f:
             f.write("x,y,mean\n")
             for (x, y), v in zip(mesh.vertices, mean):
                 f.write(f"{x:.10g},{y:.10g},{v:.10e}\n")
         return path
-    if fmt in ("vtk", "vtk_legacy"):
-        with open(path, "w") as f:
-            f.write("# vtk DataFile Version 3.0\nangular mean\nASCII\n")
-            f.write("DATASET UNSTRUCTURED_GRID\n")
-            f.write(f"POINTS {mesh.n_vertices} double\n")
-            for x, y in mesh.vertices:
-                f.write(f"{x:.10g} {y:.10g} 0.0\n")
-            f.write(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}\n")
-            for i, j, k in mesh.triangles:
-                f.write(f"3 {i} {j} {k}\n")
-            f.write(f"CELL_TYPES {mesh.n_triangles}\n")
-            f.write("5\n" * mesh.n_triangles)
-            f.write(f"POINT_DATA {mesh.n_vertices}\n")
-            f.write("SCALARS mean double 1\nLOOKUP_TABLE default\n")
-            for v in mean:
-                f.write(f"{v:.10e}\n")
-            f.write(f"CELL_DATA {mesh.n_triangles}\n")
-            f.write("SCALARS region int 1\nLOOKUP_TABLE default\n")
-            for t in mesh.tags:
-                f.write(f"{int(t)}\n")
-        return path
-    raise ConfigError(f"unknown export format {fmt!r}")
+    with open(path, "w") as f:
+        f.write("# vtk DataFile Version 3.0\nangular mean\nASCII\n")
+        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {mesh.n_vertices} double\n")
+        for x, y in mesh.vertices:
+            f.write(f"{x:.10g} {y:.10g} 0.0\n")
+        f.write(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}\n")
+        for i, j, k in mesh.triangles:
+            f.write(f"3 {i} {j} {k}\n")
+        f.write(f"CELL_TYPES {mesh.n_triangles}\n")
+        f.write("5\n" * mesh.n_triangles)
+        f.write(f"POINT_DATA {mesh.n_vertices}\n")
+        f.write("SCALARS mean double 1\nLOOKUP_TABLE default\n")
+        for v in mean:
+            f.write(f"{v:.10e}\n")
+        f.write(f"CELL_DATA {mesh.n_triangles}\n")
+        f.write("SCALARS region int 1\nLOOKUP_TABLE default\n")
+        for t in mesh.tags:
+            f.write(f"{int(t)}\n")
+    return path
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -465,7 +455,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="pnpml", description=__doc__)
     parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--precond", choices=["jacobi", "block_spatial"], default=None)
+    parser.add_argument("--precond", choices=sorted(PRECONDITIONERS), default=None)
     parser.add_argument("--out-dir", default=None)
     parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -490,10 +480,10 @@ def main(argv=None) -> int:
             print(csv_text, end="")
             print(f"written: {csv_path}")
         elif args.command == "export":
+            fmt = cfg.get("output.field_format", "csv")
+            suffix = _export_suffix(fmt)
             case = run_case(cfg)
             out = _out_dir(cfg)
-            fmt = cfg.get("output.field_format", "csv")
-            suffix = "vtk" if fmt.startswith("vtk") else "csv"
             path = export_field(case.field, case.mesh, case.basis, fmt,
                                 out / f"field.{suffix}")
             case.report.append_to(out / "run_log.txt")

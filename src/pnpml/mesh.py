@@ -82,19 +82,22 @@ class Disk:
             return np.inf
         return max(t, 0.0)
 
-    def min_hit_incidence(self, v: np.ndarray, n: np.ndarray) -> float:
-        """Minimum of s.n over in-plane travel directions s that reach v from
-        the disk (the grazing incidence)."""
+    def min_hit_incidence(self, v: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """Per point v (k, 2) with normal n (k, 2): the minimum of s.n over
+        in-plane travel directions s that reach v from the disk (the grazing
+        incidence); 0 for points inside the disk."""
         d = v - self.center
-        dist = np.linalg.norm(d)
-        if dist <= self.radius:
-            return 0.0
-        # travel directions form a cone of half-angle beta about unit(v - c)
-        w = d / dist
-        beta = np.arcsin(min(1.0, self.radius / dist))
+        dist = np.linalg.norm(d, axis=1)
+        # travel directions form a cone of half-angle beta about unit(v - c);
+        # clamping dist only changes rows that the final where discards
+        far = np.maximum(dist, self.radius)[:, None]
+        w = d / far
+        beta = np.arcsin(self.radius / far)
         cb, sb = np.cos(beta), np.sin(beta)
-        wp = np.array([-w[1], w[0]])
-        return min((w * cb + sgn * wp * sb) @ n for sgn in (-1.0, 1.0))
+        wp = np.column_stack([-w[:, 1], w[:, 0]])
+        hit = np.minimum(np.sum((w * cb - wp * sb) * n, axis=1),
+                         np.sum((w * cb + wp * sb) * n, axis=1))
+        return np.where(dist <= self.radius, 0.0, hit)
 
 
 @dataclass(frozen=True)
@@ -159,12 +162,14 @@ class Rect:
             return np.inf
         return max(tmin, 0.0)
 
-    def min_hit_incidence(self, v: np.ndarray, n: np.ndarray) -> float:
-        d = v[None, :] - self.corners
-        nd = np.linalg.norm(d, axis=1)
-        if np.any(nd < 1e-14):
-            return 0.0
-        return float(np.min((d / nd[:, None]) @ n))
+    def min_hit_incidence(self, v: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """As :meth:`Disk.min_hit_incidence`: the extreme travel directions
+        come from the corners; 0 for a point on a corner."""
+        d = v[:, None, :] - self.corners
+        nd = np.linalg.norm(d, axis=2)
+        on_corner = np.any(nd < 1e-14, axis=1)
+        unit = d / np.maximum(nd, 1e-14)[:, :, None]
+        return np.where(on_corner, 0.0, np.min(np.sum(unit * n[:, None, :], axis=2), axis=1))
 
 
 Shape = Disk | Rect
@@ -195,8 +200,7 @@ class GeometrySpec:
         """Minimal in-plane incidence u.n over outer-boundary points and
         backward directions u that reach the inner region."""
         pts, nrms = self.outer.boundary_points(_OUTER_SAMPLES)
-        vals = [self.inner.min_hit_incidence(p, n) for p, n in zip(pts, nrms)]
-        return float(np.min(vals))
+        return float(np.min(self.inner.min_hit_incidence(pts, nrms)))
 
 
 class _EdgeTable(NamedTuple):
@@ -324,17 +328,6 @@ class Mesh2D:
         return self
 
 
-def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    flipped = triangles.copy()
-    neg = det < 0
-    flipped[neg, 1], flipped[neg, 2] = triangles[neg, 2], triangles[neg, 1]
-    return flipped
-
-
 def _disk_ring_counts(inner: Disk, outer: Disk, h: float) -> tuple[int, int]:
     if np.linalg.norm(inner.center - outer.center) > 1e-12:
         raise GeometryError("structured disk meshes require concentric disks")
@@ -385,8 +378,7 @@ def _build_disk_mesh(inner: Disk, outer: Disk, h: float) -> Mesh2D:
                 tris.append([o1, i1, i0])
                 tags.append(tag)
 
-    triangles = _orient_ccw(vertices, np.array(tris, dtype=np.int64))
-    return Mesh2D(vertices=vertices, triangles=triangles,
+    return Mesh2D(vertices=vertices, triangles=np.array(tris, dtype=np.int64),
                   tags=np.array(tags, dtype=np.uint8), h=h)
 
 
@@ -409,26 +401,17 @@ def _build_rect_mesh(inner: Rect, outer: Rect, h: float) -> Mesh2D:
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def vid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    tris, tags = [], []
-    for iy in range(ny):
-        for ix in range(nx):
-            cxm = outer.x0 + (ix + 0.5) * h
-            cym = outer.y0 + (iy + 0.5) * h
-            tag = INTERIOR if inner.contains([[cxm, cym]])[0] else LAYER
-            v00, v10 = vid(ix, iy), vid(ix + 1, iy)
-            v01, v11 = vid(ix, iy + 1), vid(ix + 1, iy + 1)
-            if (ix + iy) % 2 == 0:
-                tris += [[v00, v10, v11], [v00, v11, v01]]
-            else:
-                tris += [[v00, v10, v01], [v10, v11, v01]]
-            tags += [tag, tag]
-
-    triangles = _orient_ccw(vertices, np.array(tris, dtype=np.int64))
-    return Mesh2D(vertices=vertices, triangles=triangles,
-                  tags=np.array(tags, dtype=np.uint8), h=h)
+    # cells row by row; the diagonal alternates with ix + iy
+    iy, ix = np.divmod(np.arange(nx * ny), nx)
+    v00 = iy * (nx + 1) + ix
+    v10, v01, v11 = v00 + 1, v00 + nx + 1, v00 + nx + 2
+    even = ((ix + iy) % 2 == 0)[:, None]
+    first = np.where(even, np.column_stack([v00, v10, v11]), np.column_stack([v00, v10, v01]))
+    second = np.where(even, np.column_stack([v00, v11, v01]), np.column_stack([v10, v11, v01]))
+    centres = np.column_stack([outer.x0 + (ix + 0.5) * h, outer.y0 + (iy + 0.5) * h])
+    tags = np.where(inner.contains(centres), INTERIOR, LAYER)
+    return Mesh2D(vertices=vertices, triangles=np.stack([first, second], axis=1).reshape(-1, 3),
+                  tags=np.repeat(tags, 2), h=h)
 
 
 def build_mesh(spec: GeometrySpec, h: float) -> Mesh2D:

@@ -35,6 +35,7 @@ from pnpml.assembly import (
 __all__ = [
     "JACOBI",
     "BLOCK_SPATIAL",
+    "PRECONDITIONERS",
     "SchurOperator",
     "SolveReport",
     "NumericalError",
@@ -161,12 +162,14 @@ class BlockSpatialPreconditioner:
         return out.ravel()
 
 
+# preconditioner kind -> class; the one list of valid kinds
+PRECONDITIONERS = {JACOBI: JacobiPreconditioner, BLOCK_SPATIAL: BlockSpatialPreconditioner}
+
+
 def build_preconditioner(blocks: BlockOperator, kind: str = JACOBI):
-    if kind == JACOBI:
-        return JacobiPreconditioner(blocks)
-    if kind == BLOCK_SPATIAL:
-        return BlockSpatialPreconditioner(blocks)
-    raise ValueError(f"unknown preconditioner kind: {kind!r}")
+    if kind not in PRECONDITIONERS:
+        raise ValueError(f"unknown preconditioner kind: {kind!r}")
+    return PRECONDITIONERS[kind](blocks)
 
 
 @dataclass
@@ -288,15 +291,15 @@ def solve_system(blocks: BlockOperator, q_plus: np.ndarray, q_minus: np.ndarray,
     """End-to-end solve of the mixed system: eliminate, run PCG, recover.
 
     Each z-parity class with a nonzero load is solved on its own restricted
-    operator, with a preconditioner of kind ``precond`` (None, JACOBI or
-    BLOCK_SPATIAL) built for that class.  A class without load is skipped:
+    operator, with a preconditioner of kind ``precond`` (None or a key of
+    PRECONDITIONERS) built for that class.  A class without load is skipped:
     its solution is exactly zero.  The returned field has the full shape.
     The report sums iterations and PCG wall time over the solved classes,
     concatenates their residual histories, and counts the dofs of the full
     P_N system.  A ConvergenceError carries this report, with the classes
     solved before the failure merged in.
     """
-    if precond not in (None, JACOBI, BLOCK_SPATIAL):
+    if precond is not None and precond not in PRECONDITIONERS:
         raise ValueError(f"unknown preconditioner kind: {precond!r}")
     basis = blocks.basis
     fld = Field.zeros(blocks.mesh, basis)

@@ -200,7 +200,8 @@ class TestStudy:
         with pytest.raises(ConfigError):
             convergence_study(cfg)
 
-    def test_empty_levels_rejected_before_any_solve(self, monkeypatch):
+    @pytest.mark.parametrize("levels", ["", "-1 1"], ids=["empty", "negative"])
+    def test_empty_levels_rejected_before_any_solve(self, monkeypatch, levels):
         import pnpml.solver
 
         def no_pcg(*args, **kwargs):
@@ -208,7 +209,7 @@ class TestStudy:
 
         monkeypatch.setattr(pnpml.solver, "pcg_solve", no_pcg)
         cfg = RunConfig.parse(STUDY)
-        cfg.data["study.levels"] = ""
+        cfg.data["study.levels"] = levels
         with pytest.raises(ConfigError):
             convergence_study(cfg)
 
@@ -315,6 +316,16 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "out" / "field.vtk").exists()
 
+    def test_unknown_export_format_fails_before_solving(self, tmp_path, monkeypatch):
+        import pnpml.solver
+
+        def no_pcg(*args, **kwargs):
+            raise AssertionError("PCG must not start for an unknown export format")
+
+        monkeypatch.setattr(pnpml.solver, "pcg_solve", no_pcg)
+        path = self._write(tmp_path, EXAMPLE1 + "output.field_format = png\n")
+        assert main(["--out-dir", str(tmp_path / "out"), "export", path]) == 2
+
     def test_config_error_exit_code(self, tmp_path):
         path = self._write(tmp_path, EXAMPLE1.replace("disc.n = 3", "disc.n = 4"))
         assert main(["solve", path]) == 2
@@ -353,8 +364,9 @@ class TestMain:
         ("", "", ["--tol", "nan"]),
         ("solver.tol = 1e-7", "solver.max_iter = 0", []),
         ("pml.exp_al = 0.25", "pml.exp_al =", []),
+        ("solver.precond = block_spatial", "solver.precond = ilu", []),
     ], ids=["n-nan", "n-inf", "base_h-nan", "source-word", "kernel-negative",
-            "tol-nan", "tol-flag-nan", "max_iter-zero", "exp_al-empty"])
+            "tol-nan", "tol-flag-nan", "max_iter-zero", "exp_al-empty", "precond-unknown"])
     def test_malformed_numbers_fail_fast(self, tmp_path, monkeypatch, old, new, flags):
         import pnpml.solver
 
