@@ -28,7 +28,6 @@ from pnpml.assembly import (
     explicit_matrices,
     project_source,
 )
-from pnpml.cli import RunConfig, convergence_study, export_field, run_case
 from pnpml.mesh import (
     INTERIOR,
     LAYER,

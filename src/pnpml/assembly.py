@@ -91,10 +91,10 @@ def assemble_even_mass(mesh: Mesh2D, coeffs: TransportCoefficients,
 def gradient_matrices(mesh: Mesh2D) -> tuple[csr_matrix, csr_matrix]:
     """Sparse (n_triangles, n_vertices) maps with entries |T| * d_i(phi_j):
     integrals of P1 gradients against the P0 indicator of each triangle."""
-    a, b, c = mesh.corner_coords()
-    # integral of the gradient over T: (y_j - y_k)/2 and (x_k - x_j)/2, cyclic
-    gx = 0.5 * np.column_stack([b[:, 1] - c[:, 1], c[:, 1] - a[:, 1], a[:, 1] - b[:, 1]])
-    gy = 0.5 * np.column_stack([c[:, 0] - b[:, 0], a[:, 0] - c[:, 0], b[:, 0] - a[:, 0]])
+    # integral of the gradient of phi_j over T: the opposite edge (edge j + 1,
+    # corner j + 1 to j + 2) turned a quarter counterclockwise and halved
+    ex, ey = mesh._corners[:, 2:, [1, 2, 0]].transpose(1, 0, 2)
+    gx, gy = -0.5 * ey, 0.5 * ex
     rows = np.repeat(np.arange(mesh.n_triangles), 3)
     cols = mesh.triangles.ravel()
     shape = (mesh.n_triangles, mesh.n_vertices)

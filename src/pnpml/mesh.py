@@ -215,7 +215,10 @@ class _EdgeTable(NamedTuple):
 
 @dataclass
 class Mesh2D:
-    """Conforming triangulation of the extended domain with region tags."""
+    """Conforming triangulation of the extended domain with region tags.
+
+    The arrays are not mutated after construction: the derived geometry and
+    topology are cached on first use."""
 
     vertices: np.ndarray   # (nv, 2)
     triangles: np.ndarray  # (nt, 3) int
@@ -235,20 +238,16 @@ class Mesh2D:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    def corner_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        t = self.triangles
-        return self.vertices[t[:, 0]], self.vertices[t[:, 1]], self.vertices[t[:, 2]]
-
-    @property
+    @cached_property
     def areas(self) -> np.ndarray:
-        a, b, c = self.corner_coords()
-        return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                      - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+        # edge 2 runs from corner 2 to corner 0, so c - a = -(ex2, ey2)
+        _, _, ex, ey = self._corners.transpose(1, 0, 2)
+        return 0.5 * (ey[:, 0] * ex[:, 2] - ex[:, 0] * ey[:, 2])
 
-    @property
+    @cached_property
     def centroids(self) -> np.ndarray:
-        a, b, c = self.corner_coords()
-        return (a + b + c) / 3.0
+        x, y = self._corners[:, 0], self._corners[:, 1]
+        return np.column_stack([x[:, 0] + x[:, 1] + x[:, 2], y[:, 0] + y[:, 1] + y[:, 2]]) / 3.0
 
     @cached_property
     def _edges(self) -> _EdgeTable:
@@ -517,17 +516,25 @@ def save_mesh(mesh: Mesh2D, path) -> None:
 
 
 def load_mesh(path, h: float | None = None) -> Mesh2D:
+    """Read a mesh written by :func:`save_mesh`; a malformed file raises
+    ``ValueError``."""
     lines = Path(path).read_text().splitlines()
-    head = lines[0].split()
-    if head[0] != "vertices" or head[2] != "triangles":
+    head = lines[0].split() if lines else []
+    if len(head) != 4 or head[0] != "vertices" or head[2] != "triangles":
         raise ValueError("bad mesh file header")
     nv, nt = int(head[1]), int(head[3])
-    vertices = np.array([[float(v) for v in ln.split()] for ln in lines[1:1 + nv]])
-    body = [ln.split() for ln in lines[1 + nv:1 + nv + nt]]
-    triangles = np.array([[int(r[0]), int(r[1]), int(r[2])] for r in body], dtype=np.int64)
-    tags = np.array([int(r[3]) for r in body], dtype=np.uint8)
+    if nv < 0 or nt < 1 or len(lines) < 1 + nv + nt:
+        raise ValueError(f"mesh file holds {len(lines) - 1} rows for {nv} vertices "
+                         f"and {nt} triangles")
+    vertices = np.array([ln.split() for ln in lines[1:1 + nv]], dtype=float).reshape(nv, 2)
+    body = np.array([ln.split() for ln in lines[1 + nv:1 + nv + nt]],
+                    dtype=np.int64).reshape(nt, 4)
+    triangles, tags = body[:, :3], body[:, 3]
+    if np.any((triangles < 0) | (triangles >= nv)):
+        raise ValueError("mesh file has a vertex index outside [0, n_vertices)")
+    if not np.isin(tags, (INTERIOR, LAYER)).all():
+        raise ValueError("mesh file has a region tag other than INTERIOR or LAYER")
     mesh = Mesh2D(vertices=vertices, triangles=triangles, tags=tags, h=h or 0.0)
     if h is None:
-        a, b, _ = mesh.corner_coords()
-        mesh.h = float(np.median(np.linalg.norm(b - a, axis=1)))
+        mesh.h = float(np.median(np.linalg.norm(mesh._corners[:, 2:, 0], axis=1)))
     return mesh.validate()

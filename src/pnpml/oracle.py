@@ -91,16 +91,18 @@ class _Trace:
     t0: np.ndarray               # (ns,)
     t1: np.ndarray               # (ns,)
     exit_point: np.ndarray       # (n_rays, 2) where each ray leaves the mesh
+    exit_edge: np.ndarray        # (n_rays,) boundary edge it leaves through
     q_nodes: np.ndarray | None   # (ns, 4) analytic source at the Gauss nodes
 
 
 def _trace(mesh: Mesh2D, starts: np.ndarray, start_tri: np.ndarray, u: np.ndarray,
-           q=None, q_mask: np.ndarray | None = None) -> _Trace:
+           q=None) -> _Trace:
     """Walk the backward rays from ``starts`` in triangles ``start_tri`` along
-    the planar direction u and sample ``q`` (zero outside ``q_mask``) at every
-    segment's Gauss nodes.  All rays step together: each leaves its triangle
-    through the first edge it crosses among those it heads out of
-    (cross(e, -u) < 0) to the neighbour across it, or stops on the boundary."""
+    the planar direction u and sample ``q`` (zero outside INTERIOR triangles)
+    at every segment's Gauss nodes.  All rays step together: each leaves its
+    triangle through the first edge it crosses among those it heads out of
+    (cross(e, -u) < 0) to the neighbour across it, or stops on the boundary
+    edge it crossed, which the direction therefore enters through."""
     tol = 1e-12 * max(np.ptp(mesh.vertices), 1.0)
     _, _, ex, ey = corners = mesh._corners.transpose(1, 0, 2)
     cu = ex * (-u[1]) - ey * (-u[0])                  # cross(e, -u), (nt, 3)
@@ -111,6 +113,7 @@ def _trace(mesh: Mesh2D, starts: np.ndarray, start_tri: np.ndarray, u: np.ndarra
     n = starts.shape[0]
     live, tri, t = np.arange(n), np.asarray(start_tri), np.zeros(n)
     rx, ry = starts[:, :1], starts[:, 1:]
+    exit_edge = np.empty(n, dtype=np.int64)
     steps = []
     while live.size and len(steps) < mesh.n_triangles:
         # a CCW triangle keeps its interior where cross(e, x - p) >= 0, and
@@ -120,9 +123,10 @@ def _trace(mesh: Mesh2D, starts: np.ndarray, start_tri: np.ndarray, u: np.ndarra
         k = t_k.argmin(axis=1)
         t_prev, t = t, np.maximum(np.minimum.reduce(t_k, axis=1), t)
         steps.append((live, tri, t_prev, t))
-        tri = mesh._neighbours[0][tri, k]
+        prev, tri = tri, mesh._neighbours[0][tri, k]
         if np.minimum.reduce(tri) < 0:
             on = tri >= 0
+            exit_edge[live[~on]] = mesh._neighbours[1][prev[~on], k[~on]]
             live, rx, ry, tri, t = live[on], rx[on], ry[on], tri[on], t[on]
     if live.size:
         raise RuntimeError(f"{live.size} rays did not leave the mesh in {mesh.n_triangles} steps")
@@ -146,28 +150,12 @@ def _trace(mesh: Mesh2D, starts: np.ndarray, start_tri: np.ndarray, u: np.ndarra
     q_nodes = None
     if q is not None:
         q_nodes = np.zeros((tri.size, _GAUSS_NODES.size))
-        on = np.ones(tri.size, dtype=bool) if q_mask is None else q_mask[tri]
+        on = mesh.tags[tri] == INTERIOR
         if on.any():
             tg = t0[on, None] + (t1 - t0)[on, None] * _GAUSS_NODES
             pts = starts[ray[on], None, :] - tg[..., None] * u
             q_nodes[on] = np.asarray(q(pts.reshape(-1, 2)), dtype=float).reshape(tg.shape)
-    return _Trace(ray, slot, tri, t0, t1, exit_point, q_nodes)
-
-
-def _exit_edges(mesh: Mesh2D, trace: _Trace) -> np.ndarray:
-    """The boundary edge each ray leaves through: by nearest midpoint to its
-    exit point among those of the last triangle it crosses or, if that holds
-    none (it leaves at a vertex or crosses nothing), among all; lower index on a tie."""
-    n, exit_point = trace.exit_point.shape[0], trace.exit_point[:, None, :]
-    n_seg = np.bincount(trace.ray, minlength=n)
-    held = np.full((n, 3), -1)   # boundary edges of the last triangle, -1 for none
-    held[n_seg > 0] = np.sort(mesh._neighbours[1][trace.tri[np.cumsum(n_seg)[n_seg > 0] - 1]])
-    mids = mesh.vertices[mesh.boundary_edges].mean(axis=1)
-    dist = np.where(held >= 0, np.linalg.norm(mids[held] - exit_point, axis=2), np.inf)
-    exit_edge = held[np.arange(n), dist.argmin(axis=1)]
-    none = exit_edge < 0
-    exit_edge[none] = np.linalg.norm(mids - exit_point[none], axis=2).argmin(axis=1)
-    return exit_edge
+    return _Trace(ray, slot, tri, t0, t1, exit_point, exit_edge, q_nodes)
 
 
 def _integrate(trace: _Trace, mu: np.ndarray, beta: float):
@@ -202,12 +190,13 @@ class SweepOperator:
     For ordinate d the sampled values obey
         u_d = A_d @ src + q_d + f_d * h[exit_edge_d, d]
     where src is any per-triangle isotropic source density added on top of the
-    (optional) analytic external source integrated at build time.  Under
-    z-invariance the ray paths depend only on the planar direction s_xy/|s_xy|.
+    (optional) analytic external source on INTERIOR triangles, integrated at
+    build time.  Under z-invariance the ray paths depend only on the planar
+    direction s_xy/|s_xy|.
     """
 
     def __init__(self, mesh: Mesh2D, mu_tri: np.ndarray, ordinates: OrdinateSet,
-                 q_analytic=None, q_mask: np.ndarray | None = None):
+                 q_analytic=None):
         self.mesh = mesh
         self.ordinates = ordinates
         self.mu = np.asarray(mu_tri, dtype=float)
@@ -231,13 +220,13 @@ class SweepOperator:
         for d in np.lexsort((u[:, 1], u[:, 0])):
             key = tuple(np.round(u[d], 12))
             if key not in traces:
-                trace = _trace(mesh, starts, start_tri, u[d], q_analytic, q_mask)
-                traces[key] = trace, _exit_edges(mesh, trace)
-            trace, exit_edge = traces[key]
+                traces[key] = _trace(mesh, starts, start_tri, u[d], q_analytic)
+            trace = traces[key]
             if (key, p[d]) not in sweeps:
                 w, exit_fac, q_line = _integrate(trace, self.mu, 1.0 / p[d])
                 mat = csr_matrix((w, (trace.ray, trace.tri)), shape=(self.n_rays, nt))
-                sweeps[key, p[d]] = mat, 0.0 if q_line is None else q_line, exit_fac, exit_edge
+                sweeps[key, p[d]] = (mat, 0.0 if q_line is None else q_line, exit_fac,
+                                     trace.exit_edge)
             self._sweeps[d] = sweeps[key, p[d]]
 
     def apply(self, src_tri: np.ndarray, inflow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +267,7 @@ def source_iteration(mesh: Mesh2D, coeffs: TransportCoefficients,
     nbe = mesh.boundary_edges.shape[0]
 
     if callable(q):
-        sweep = SweepOperator(mesh, coeffs.mu, ordinates, q_analytic=q,
-                              q_mask=mesh.tags == INTERIOR)
+        sweep = SweepOperator(mesh, coeffs.mu, ordinates, q_analytic=q)
         base_src = np.zeros(mesh.n_triangles)
     else:
         sweep = SweepOperator(mesh, coeffs.mu, ordinates)
@@ -340,11 +328,14 @@ def characteristics_solve(mesh: Mesh2D, coeffs: TransportCoefficients,
         # invariant-axis ray: balance absorption against the local source
         if mu[t_idx] <= 0:
             raise ValueError("vertical characteristic in a void has no steady state")
-        dens = q(r[None, :])[0] if callable(q) else src_tri[t_idx]
+        if callable(q):
+            dens = q(r[None, :])[0] if mesh.tags[t_idx] == INTERIOR else 0.0
+        else:
+            dens = src_tri[t_idx]
         return float(dens / mu[t_idx])
 
     trace = _trace(mesh, r[None, :], np.array([t_idx]), s[:2] / p,
-                   q if callable(q) else None, mesh.tags == INTERIOR)
+                   q if callable(q) else None)
     w, exit_fac, q_line = _integrate(trace, mu, 1.0 / p)
     total = q_line[0] if callable(q) else w @ src_tri[trace.tri]
     if inflow is not None:

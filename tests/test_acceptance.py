@@ -211,8 +211,7 @@ def test_criterion_6_pure_absorption_cross_validation():
     # ordinate-averaged characteristics reference at the base interior
     # centroids: a single vacuum sweep of the purely absorbing problem
     sub_coeffs = extend_coefficients(sub, mu, 0.0, src, a=0.0)
-    sweep = SweepOperator(sub, sub_coeffs.mu, ords, q_analytic=src,
-                          q_mask=np.ones(sub.n_triangles, dtype=bool))
+    sweep = SweepOperator(sub, sub_coeffs.mu, ords, q_analytic=src)
     tri_vals, _ = sweep.apply(np.zeros(sub.n_triangles),
                               np.zeros((sub.boundary_edges.shape[0], ords.n_dirs)))
     oracle_mean = tri_vals @ ords.weights

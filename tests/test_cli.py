@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +11,7 @@ from pnpml.cli import (
     CSV_HEADER,
     ConfigError,
     RunConfig,
+    _source_from_config,
     angular_mean,
     convergence_study,
     export_field,
@@ -84,6 +90,13 @@ class TestConfigParsing:
         spec = geometry_from_config(cfg)
         assert isinstance(spec.inner, Disk)
         assert spec.layer_depth == pytest.approx(0.2, abs=1e-12)
+
+    def test_box_and_constant_sources(self):
+        pts = np.array([[0.0, 0.0], [0.5, 1.5], [1.0, 2.0], [1.01, 1.0], [0.5, -0.01]])
+        box = _source_from_config(RunConfig.parse("physics.source = box 0 0 1 2\n"))
+        assert np.array_equal(box(pts), [1.0, 1.0, 1.0, 0.0, 0.0])
+        const = _source_from_config(RunConfig.parse("physics.source = constant 0.25\n"))
+        assert np.array_equal(const(pts), np.full(5, 0.25))
 
     def test_degenerate_geometry_is_config_error(self):
         cfg = RunConfig.parse(EXAMPLE1)
@@ -376,6 +389,26 @@ class TestMain:
         monkeypatch.setattr(pnpml.solver, "pcg_solve", no_pcg)
         path = self._write(tmp_path, EXAMPLE1.replace(old, new) if old else EXAMPLE1)
         assert main(flags + ["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
+
+    @pytest.mark.parametrize("source", ["gaussian 0.75 0", "box 0 0 1", "constant 1 2"],
+                             ids=["gaussian", "box", "constant"])
+    def test_wrong_source_arity_fails_fast(self, tmp_path, monkeypatch, source):
+        import pnpml.solver
+
+        def no_pcg(*args, **kwargs):
+            raise AssertionError("PCG must not start on a malformed source")
+
+        monkeypatch.setattr(pnpml.solver, "pcg_solve", no_pcg)
+        path = self._write(tmp_path, EXAMPLE1.replace(
+            "physics.source = gaussian 0.75 0 5.0", f"physics.source = {source}"))
+        assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
+
+    def test_module_entry_point_runs_without_warnings(self):
+        # importing the package must not import pnpml.cli before runpy executes it
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "pnpml.cli",
+                               "--help"], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_convergence_failure_exit_code(self, tmp_path):
         path = self._write(tmp_path, EXAMPLE1 + "solver.max_iter = 2\nsolver.tol = 1e-13\n")

@@ -125,7 +125,7 @@ class TestBuildDisk:
 
     def test_quasi_uniform(self):
         mesh = build_mesh(example1_spec(), 0.1)
-        a, b, c = mesh.corner_coords()
+        a, b, c = mesh.vertices[mesh.triangles].transpose(1, 0, 2)
         edges = np.concatenate([np.linalg.norm(b - a, axis=1),
                                 np.linalg.norm(c - b, axis=1),
                                 np.linalg.norm(a - c, axis=1)])
@@ -160,7 +160,7 @@ class TestRefine:
         fine_coef = p1_prolong(mesh, coef)
         # a P1 function is linear on each coarse triangle: evaluate the coarse
         # field at every fine vertex through barycentric interpolation
-        a, b, c = mesh.corner_coords()
+        a, b, c = mesh.vertices[mesh.triangles].transpose(1, 0, 2)
         for t, tri in enumerate(mesh.triangles):
             for child in range(4):
                 for v in fine.triangles[4 * t + child]:
@@ -348,3 +348,28 @@ class TestAsciiIO:
         assert np.array_equal(back.triangles, mesh.triangles)
         assert np.array_equal(back.tags, mesh.tags)
         assert np.allclose(back.vertices, mesh.vertices, atol=0)
+
+    def test_h_defaults_to_the_median_edge(self, tmp_path):
+        mesh = build_mesh(GeometrySpec(inner=Rect(1, 1, 3, 3), outer=Rect(0, 0, 4, 4)), 0.5)
+        path = tmp_path / "mesh.txt"
+        save_mesh(mesh, path)
+        assert load_mesh(path).h == 0.5
+
+    GOOD = "vertices 3 triangles 1\n0 0\n1 0\n0 1\n0 1 2 0\n"
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "vertices 3\n",
+        "vertices 0 triangles 0\n",
+        GOOD.rsplit("0 1 2 0", 1)[0],
+        GOOD.replace("0 1 2 0", "0 1 3 0"),
+        GOOD.replace("0 1 2 0", "0 1 -1 0"),
+        GOOD.replace("0 1 2 0", "0 1 2 5"),
+        GOOD.replace("1 0\n", "1 0 7\n"),
+    ], ids=["empty", "short-header", "no-triangles", "truncated", "index-past-end", "negative-index",
+            "unknown-tag", "ragged-row"])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "mesh.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_mesh(path)

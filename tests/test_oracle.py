@@ -15,7 +15,6 @@ from pnpml.oracle import (
     VACUUM,
     OrdinateSet,
     SweepOperator,
-    _exit_edges,
     _trace,
     boundary_trace_norm,
     build_ordinates,
@@ -95,6 +94,24 @@ class TestCharacteristics:
         coeffs = extend_coefficients(mesh, 1.0, 0.0, 1.0, a=0.0)
         with pytest.raises(ValueError, match="outside the mesh"):
             characteristics_solve(mesh, coeffs, (1.5, 0.375), (1.0, 0.0, 0.0), inflow=0.7)
+
+    def test_invariant_axis_balances_source_against_absorption(self):
+        # along s = (0, 0, 1) the solution is q(r) / mu; the analytic source
+        # lives on the INTERIOR triangles only, as along every other ray
+        _, mesh, coeffs, src = disk_setup(h=0.25, mu=2.0, sig0=0.0, a=3.0)
+        for t in (0, 40, np.flatnonzero(mesh.tags == 1)[5]):
+            r = mesh.centroids[t]
+            inside = mesh.tags[t] == 0
+            val = characteristics_solve(mesh, coeffs, r, (0.0, 0.0, 1.0), q=src)
+            assert val == (src(r[None, :])[0] / coeffs.mu[t] if inside else 0.0)
+            val = characteristics_solve(mesh, coeffs, r, (0.0, 0.0, -1.0))
+            assert val == coeffs.source[t] / coeffs.mu[t]
+
+    def test_invariant_axis_in_a_void_rejected(self):
+        mesh = unit_square_mesh()
+        coeffs = extend_coefficients(mesh, 0.0, 0.0, 1.0, a=0.0)
+        with pytest.raises(ValueError, match="void"):
+            characteristics_solve(mesh, coeffs, (0.5, 0.375), (0.0, 0.0, 1.0))
 
     def test_two_segment_attenuation_matches_quadrature(self):
         mesh = unit_square_mesh(h=0.25)
@@ -212,11 +229,13 @@ class TestWalk:
         assert np.allclose(length[~leaves], exits, rtol=0.0, atol=1e-12)
 
         # each ray leaves on its exit edge; some leave through a vertex
-        a, b = (mesh.vertices[mesh.boundary_edges[_exit_edges(mesh, trace), i]] for i in (0, 1))
+        a, b = (mesh.vertices[mesh.boundary_edges[trace.exit_edge, i]] for i in (0, 1))
         w = np.clip(np.sum((trace.exit_point - a) * (b - a), axis=1)
                     / np.sum((b - a) ** 2, axis=1), 0.0, 1.0)
         assert np.all(np.linalg.norm(a + w[:, None] * (b - a) - trace.exit_point, axis=1) <= 1e-12)
         assert np.any(np.isclose(w, 0.0, atol=1e-12) | np.isclose(w, 1.0, atol=1e-12))
+        # ... and the direction enters through it, so it carries inflow
+        assert np.all(mesh.boundary_normals[trace.exit_edge] @ u < 0)
 
     def test_ray_that_never_leaves_raises(self):
         mesh = self.rect_mesh()
@@ -233,8 +252,7 @@ class TestSweepSharing:
 
     def setup_sweep(self, ords):
         _, mesh, coeffs, src = disk_setup(h=0.25, mu=2.0, sig0=0.0, a=3.0)
-        sweep = SweepOperator(mesh, coeffs.mu, ords, q_analytic=src,
-                              q_mask=mesh.tags == 0)
+        sweep = SweepOperator(mesh, coeffs.mu, ords, q_analytic=src)
         return mesh, coeffs, src, sweep
 
     def test_z_mirrored_ordinates_give_identical_columns(self):
@@ -267,8 +285,7 @@ class TestSweepSharing:
         permuted = OrdinateSet(directions=ords.directions[perm], weights=ords.weights[perm],
                                opposite=inv[ords.opposite[perm]])
         mesh, coeffs, src, sweep = self.setup_sweep(ords)
-        sweep_p = SweepOperator(mesh, coeffs.mu, permuted, q_analytic=src,
-                                q_mask=mesh.tags == 0)
+        sweep_p = SweepOperator(mesh, coeffs.mu, permuted, q_analytic=src)
         rng = np.random.default_rng(5)
         src_tri = rng.random(mesh.n_triangles)
         inflow = rng.random((mesh.boundary_edges.shape[0], ords.n_dirs))
@@ -289,13 +306,38 @@ class TestSweepSharing:
             assert np.max(np.abs(tri[:, d] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+class TestSweepInflow:
+    """Each ray takes the inflow of the boundary edge it enters by."""
+
+    @pytest.mark.parametrize("spec, h", [
+        (GeometrySpec(inner=Rect(0, 0, 1, 1), outer=Rect(-1, -1, 2, 2)), 0.25),
+        (disk_spec(), 0.16),
+    ], ids=["rect", "disk"])
+    def test_void_with_unit_inflow_is_one_everywhere(self, spec, h):
+        # no absorption, no source, unit inflow on every entering (edge, ordinate)
+        mesh = build_mesh(spec, h)
+        ords = build_ordinates(4, 8)
+        sweep = SweepOperator(mesh, np.zeros(mesh.n_triangles), ords)
+        inflow = (mesh.boundary_normals @ ords.directions[:, :2].T < 0).astype(float)
+        tri, bdry = sweep.apply(np.zeros(mesh.n_triangles), inflow)
+        assert np.all(tri == 1.0)
+        assert np.all(bdry == 1.0)
+
+    def test_ordinate_along_the_invariant_axis_rejected(self):
+        mesh = unit_square_mesh(h=0.5)
+        ords = OrdinateSet(directions=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                                                [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+                           weights=np.full(4, np.pi), opposite=np.array([1, 0, 3, 2]))
+        with pytest.raises(ValueError, match="invariant axis"):
+            SweepOperator(mesh, np.ones(mesh.n_triangles), ords)
+
+
 class TestSourceIteration:
     def test_zero_kernel_single_sweep(self):
         _, mesh, coeffs, src = disk_setup(h=0.25, mu=2.0, sig0=0.0, a=1.0)
         ords = build_ordinates(4, 8)
         field = source_iteration(mesh, coeffs, ords, VACUUM, tol=1e-12, q=src)
-        sweep = SweepOperator(mesh, coeffs.mu, ords, q_analytic=src,
-                              q_mask=mesh.tags == 0)
+        sweep = SweepOperator(mesh, coeffs.mu, ords, q_analytic=src)
         tri, _ = sweep.apply(np.zeros(mesh.n_triangles), np.zeros((mesh.boundary_edges.shape[0], ords.n_dirs)))
         assert np.array_equal(field.tri_values, tri)
 
