@@ -9,7 +9,7 @@ edges and uniform refinement yields nested vertex sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -218,12 +218,15 @@ class Mesh2D:
     """Conforming triangulation of the extended domain with region tags.
 
     The arrays are not mutated after construction: the derived geometry and
-    topology are cached on first use."""
+    topology are cached on first use.  A mesh made by :func:`uniform_refine`
+    records the mesh it refines as ``parent``, so the nested chain down to
+    the mesh that was built or loaded is reachable from the finest one."""
 
     vertices: np.ndarray   # (nv, 2)
     triangles: np.ndarray  # (nt, 3) int
     tags: np.ndarray       # (nt,) uint8, INTERIOR or LAYER
     h: float
+    parent: Mesh2D | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
@@ -263,6 +266,19 @@ class Mesh2D:
         first = first[order]
         return _EdgeTable(ends=np.column_stack([starts[first], ends[first]]), first=first,
                           counts=counts[order], tri_edges=rank[inverse].reshape(-1, 3))
+
+    @cached_property
+    def prolongation(self) -> csr_matrix:
+        """The P1 prolongation to this mesh's uniform refinement, (nv + ne, nv):
+        identity on the vertices and 1/2, 1/2 on the midpoint of each edge of
+        the edge table, in table order.  Exact for continuous piecewise-linear
+        functions on the nested grids."""
+        nv, ends = self.n_vertices, self._edges.ends
+        ne = ends.shape[0]
+        rows = np.concatenate([np.arange(nv), np.repeat(nv + np.arange(ne), 2)])
+        cols = np.concatenate([np.arange(nv), ends.ravel()])
+        vals = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
+        return csr_matrix((vals, (rows, cols)), shape=(nv + ne, nv))
 
     @cached_property
     def _corners(self) -> np.ndarray:
@@ -432,23 +448,19 @@ def uniform_refine(mesh: Mesh2D) -> Mesh2D:
     """Split every triangle into four via edge midpoints.  The coarse vertex
     set is a prefix of the fine one, new vertex nv + k is the midpoint of
     edge k of the coarse edge table, and the central child of triangle t is
-    child 4*t + 3, which keeps nested prolongation exact."""
-    table = mesh._edges
+    child 4*t + 3, which keeps nested prolongation exact.  The fine mesh
+    records ``mesh`` as its parent."""
     a, b, c = mesh.triangles.T
-    ab, bc, ca = (mesh.n_vertices + table.tri_edges).T
+    ab, bc, ca = (mesh.n_vertices + mesh._edges.tri_edges).T
     tris = np.column_stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca]).reshape(-1, 3)
-    new_verts = 0.5 * (mesh.vertices[table.ends[:, 0]] + mesh.vertices[table.ends[:, 1]])
-    vertices = np.vstack([mesh.vertices, new_verts])
-    return Mesh2D(vertices=vertices, triangles=tris, tags=np.repeat(mesh.tags, 4),
-                  h=mesh.h / 2)
+    return Mesh2D(vertices=mesh.prolongation @ mesh.vertices, triangles=tris,
+                  tags=np.repeat(mesh.tags, 4), h=mesh.h / 2, parent=mesh)
 
 
 def p1_prolong(coarse: Mesh2D, values: np.ndarray) -> np.ndarray:
-    """Prolong P1 vertex data (nv_coarse, ...) one refinement level: exact for
-    continuous piecewise-linear functions on nested grids."""
-    ends = coarse._edges.ends
-    mid_vals = 0.5 * (values[ends[:, 0]] + values[ends[:, 1]])
-    return np.concatenate([values, mid_vals], axis=0)
+    """Prolong P1 vertex data (nv_coarse,) or (nv_coarse, k) one refinement
+    level with ``coarse.prolongation``."""
+    return coarse.prolongation @ values
 
 
 def p0_prolong(values: np.ndarray) -> np.ndarray:
@@ -507,8 +519,11 @@ def submesh_interior(mesh: Mesh2D) -> tuple[Mesh2D, np.ndarray, np.ndarray]:
 
 
 def save_mesh(mesh: Mesh2D, path) -> None:
+    """Write the mesh as text: a header ``vertices nv triangles nt h <h>``,
+    then one ``x y`` row per vertex and one ``i j k tag`` row per triangle."""
     with open(path, "w") as f:
-        f.write(f"vertices {mesh.n_vertices} triangles {mesh.n_triangles}\n")
+        f.write(f"vertices {mesh.n_vertices} triangles {mesh.n_triangles} "
+                f"h {float(mesh.h)!r}\n")
         for x, y in mesh.vertices:
             f.write(f"{float(x)!r} {float(y)!r}\n")
         for (i, j, k), tag in zip(mesh.triangles, mesh.tags):
@@ -517,12 +532,20 @@ def save_mesh(mesh: Mesh2D, path) -> None:
 
 def load_mesh(path, h: float | None = None) -> Mesh2D:
     """Read a mesh written by :func:`save_mesh`; a malformed file raises
-    ``ValueError``."""
+    ``ValueError``.  ``h`` overrides the header's h; a header without one
+    (``vertices nv triangles nt``) gives the median edge length."""
     lines = Path(path).read_text().splitlines()
     head = lines[0].split() if lines else []
-    if len(head) != 4 or head[0] != "vertices" or head[2] != "triangles":
+    if (len(head) not in (4, 6) or head[0] != "vertices" or head[2] != "triangles"
+            or (len(head) == 6 and head[4] != "h")):
         raise ValueError("bad mesh file header")
     nv, nt = int(head[1]), int(head[3])
+    if len(head) == 6:
+        stored_h = float(head[5])
+        if not (np.isfinite(stored_h) and stored_h > 0):
+            raise ValueError(f"mesh file h must be positive and finite, got {head[5]}")
+        if h is None:
+            h = stored_h
     if nv < 0 or nt < 1 or len(lines) < 1 + nv + nt:
         raise ValueError(f"mesh file holds {len(lines) - 1} rows for {nv} vertices "
                          f"and {nt} triangles")

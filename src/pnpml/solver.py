@@ -5,8 +5,10 @@ the symmetric positive definite operator S = M + R + B^T C^{-1} B on the even
 unknowns.  S is applied matrix-free; the system is solved by preconditioned
 conjugate gradients.  Both preconditioners come from one block per even
 degree l: the mean over the 2l+1 orders m of the diagonal blocks of S, a P_N
-diffusion block.  ``jacobi`` inverts its diagonal, ``block_spatial`` solves
-it exactly with one sparse LU per degree.
+diffusion block.  ``jacobi`` inverts its diagonal.  ``block_spatial``
+approximates its inverse by one symmetric Galerkin V-cycle over the mesh's
+refinement chain, with one sparse LU per degree on the coarsest mesh; on a
+mesh that was not refined the cycle is that exact LU solve.
 
 For z-invariant problems the system splits exactly into two independent
 z-parity classes (angular modes with l + |m| even or odd).  ``solve_system``
@@ -141,24 +143,63 @@ class JacobiPreconditioner:
         return self._inv_diag * r
 
 
+_OMEGA = 0.8   # damped-Jacobi weight of the V-cycle smoother
+_SWEEPS = 2    # smoothing sweeps before and after each coarse correction
+
+
+def _v_cycle(levels: list, lu, b: np.ndarray) -> np.ndarray:
+    """One V-cycle from x = 0 for A x = b on the finest of ``levels``, a list
+    of (A, omega / diag(A), P, Pᵀ) from fine to coarse; ``lu`` solves the
+    coarsest system exactly."""
+    if not levels:
+        return lu.solve(b)
+    (a, w, p, pt), coarser = levels[0], levels[1:]
+    x = w * b
+    for _ in range(_SWEEPS - 1):
+        x += w * (b - a @ x)
+    x += p @ _v_cycle(coarser, lu, pt @ (b - a @ x))
+    for _ in range(_SWEEPS):
+        x += w * (b - a @ x)
+    return x
+
+
 class BlockSpatialPreconditioner:
-    """Exact spatial solve of the per-degree blocks of S (:func:`_degree_blocks`):
-    one sparse LU per even degree, applied to all modes of that degree as one
-    multi-column right-hand side."""
+    """Multigrid solve of the per-degree blocks of S (:func:`_degree_blocks`).
+
+    Per even degree the block A is carried down the mesh's refinement chain
+    (``Mesh2D.parent``) as the Galerkin product Pᵀ A P, with P the P1
+    prolongation, and factorized once by a sparse LU on the coarsest mesh.
+    ``apply`` runs one V-cycle per degree, all orders of the degree as one
+    multi-column right-hand side: on each finer level, _SWEEPS damped-Jacobi
+    sweeps (weight _OMEGA) before the coarse correction and as many after,
+    so the cycle is a symmetric operator.  A mesh without a parent is a chain
+    of one, where the cycle is the exact LU solve of the block."""
 
     kind = BLOCK_SPATIAL
 
     def __init__(self, blocks: BlockOperator):
         self._shape = (blocks.mesh.n_vertices, blocks.basis.n_plus)
-        degree_blocks = _degree_blocks(blocks)
-        self._cols = [cols for cols, _ in degree_blocks]
-        self._solvers = [splu(block) for _, block in degree_blocks]
+        chain, mesh = [], blocks.mesh  # (P, Pᵀ) per level, fine to coarse
+        while mesh.parent is not None:
+            mesh = mesh.parent
+            # Pᵀ stored as CSR: a transposed view costs more per product
+            chain.append((mesh.prolongation, mesh.prolongation.T.tocsr()))
+        self._cols, self._levels, self._solvers = [], [], []
+        for cols, block in _degree_blocks(blocks):
+            levels = []
+            for p, pt in chain:
+                block = block.tocsr()
+                levels.append((block, _OMEGA / block.diagonal()[:, None], p, pt))
+                block = pt @ block @ p
+            self._cols.append(cols)
+            self._levels.append(levels)
+            self._solvers.append(splu(block.tocsc()))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         u = r.reshape(self._shape)
         out = np.empty_like(u)
-        for cols, lu in zip(self._cols, self._solvers):
-            out[:, cols] = lu.solve(u[:, cols])
+        for cols, levels, lu in zip(self._cols, self._levels, self._solvers):
+            out[:, cols] = _v_cycle(levels, lu, u[:, cols])
         return out.ravel()
 
 

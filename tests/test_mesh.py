@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pnpml.cli import RunConfig, _ProblemCache
 from pnpml.mesh import (
     INTERIOR,
     LAYER,
@@ -199,6 +200,42 @@ class TestRefine:
             assert np.array_equal(fine_vals[nv + k], 0.5 * (vals[a] + vals[b]))
 
 
+class TestChain:
+    @pytest.mark.parametrize("spec,h", SMALL_MESHES)
+    def test_refined_mesh_records_its_parent_and_prolongation(self, spec, h):
+        mesh = build_mesh(spec, h)
+        fine = uniform_refine(mesh)
+        assert fine.parent is mesh
+        assert "parent" not in repr(fine)
+        # reference: coarse values, then the mean of each edge's ends in table order
+        ends = mesh._edges.ends
+        vals = RNG.normal(size=(mesh.n_vertices, 3))
+        want = np.concatenate([vals, 0.5 * (vals[ends[:, 0]] + vals[ends[:, 1]])])
+        for v, w in ((vals, want), (vals[:, 0], want[:, 0])):
+            got = fine.parent.prolongation @ v
+            assert got.shape == w.shape and got.tobytes() == w.tobytes()
+            assert p1_prolong(mesh, v).tobytes() == got.tobytes()
+        assert np.array_equal(mesh.prolongation @ mesh.vertices, fine.vertices)
+
+    def test_built_loaded_and_submeshes_have_no_parent(self, tmp_path):
+        mesh = build_mesh(example1_spec(), 0.25)
+        fine = uniform_refine(mesh)
+        path = tmp_path / "mesh.txt"
+        save_mesh(fine, path)
+        assert mesh.parent is None
+        assert load_mesh(path).parent is None
+        assert submesh_interior(fine)[0].parent is None
+
+    def test_problem_cache_holds_one_chain(self):
+        cfg = RunConfig.parse("geometry.kind = disk\ngeometry.inner = 0 0 1.0\n"
+                              "geometry.outer = 0 0 1.2\nphysics.mu = 2.0\n"
+                              "physics.source = constant 1.0\ndisc.base_h = 0.25\n")
+        meshes = _ProblemCache(cfg, [2], [1]).meshes
+        assert len(meshes) == 3 and meshes[0].parent is None
+        for k in (1, 2):
+            assert meshes[k].parent is meshes[k - 1]
+
+
 class TestValidate:
     def test_edge_of_three_triangles_rejected(self):
         # three positively oriented triangles on the base edge (0, 1)
@@ -355,6 +392,25 @@ class TestAsciiIO:
         save_mesh(mesh, path)
         assert load_mesh(path).h == 0.5
 
+    @pytest.mark.parametrize("h", [0.2, 0.08])
+    def test_h_roundtrips_through_the_header(self, tmp_path, h):
+        path = tmp_path / "mesh.txt"
+        save_mesh(build_mesh(example1_spec(), h), path)
+        assert load_mesh(path).h == h
+        assert load_mesh(path, h=0.5).h == 0.5
+
+    def test_header_without_h_gives_the_median_edge(self, tmp_path):
+        mesh = build_mesh(example1_spec(), 0.2)
+        path = tmp_path / "mesh.txt"
+        save_mesh(mesh, path)
+        _, body = path.read_text().split("\n", 1)
+        path.write_text(f"vertices {mesh.n_vertices} triangles {mesh.n_triangles}\n{body}")
+        a, b = mesh.vertices[mesh.triangles[:, 0]], mesh.vertices[mesh.triangles[:, 1]]
+        median_edge = float(np.median(np.linalg.norm(b - a, axis=1)))
+        assert median_edge != 0.2
+        assert load_mesh(path).h == median_edge
+        assert load_mesh(path, h=0.2).h == 0.2
+
     GOOD = "vertices 3 triangles 1\n0 0\n1 0\n0 1\n0 1 2 0\n"
 
     @pytest.mark.parametrize("text", [
@@ -366,8 +422,14 @@ class TestAsciiIO:
         GOOD.replace("0 1 2 0", "0 1 -1 0"),
         GOOD.replace("0 1 2 0", "0 1 2 5"),
         GOOD.replace("1 0\n", "1 0 7\n"),
+        GOOD.replace("triangles 1", "triangles 1 h"),
+        GOOD.replace("triangles 1", "triangles 1 k 0.5"),
+        GOOD.replace("triangles 1", "triangles 1 h x"),
+        GOOD.replace("triangles 1", "triangles 1 h 0.0"),
+        GOOD.replace("triangles 1", "triangles 1 h nan"),
     ], ids=["empty", "short-header", "no-triangles", "truncated", "index-past-end", "negative-index",
-            "unknown-tag", "ragged-row"])
+            "unknown-tag", "ragged-row", "h-without-value", "unknown-header-key", "h-not-a-number",
+            "h-zero", "h-nan"])
     def test_malformed_file_rejected(self, tmp_path, text):
         path = tmp_path / "mesh.txt"
         path.write_text(text)

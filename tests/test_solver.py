@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from pnpml.angular import build_basis, coupling_matrices, quadrature_for_order
 from pnpml.assembly import (
@@ -7,7 +10,7 @@ from pnpml.assembly import (
     explicit_matrices,
     project_source,
 )
-from pnpml.mesh import Disk, GeometrySpec, Rect, build_mesh, uniform_refine
+from pnpml.mesh import Disk, GeometrySpec, Mesh2D, Rect, build_mesh, uniform_refine
 from pnpml.pml import extend_coefficients
 from pnpml.solver import (
     BLOCK_SPATIAL,
@@ -43,9 +46,11 @@ def small_instance(N=3, kernel=1.0):
     return mesh, basis, blocks, qp, qm
 
 
-def desk_instance(h=0.2, N=3, exp_al=0.25, mu=10.1, sig=10.0):
+def desk_instance(h=0.2, N=3, exp_al=0.25, mu=10.1, sig=10.0, levels=0):
     spec = GeometrySpec(inner=Disk(0, 0, 1.0), outer=Disk(0, 0, 1.2))
     mesh = build_mesh(spec, h)
+    for _ in range(levels):
+        mesh = uniform_refine(mesh)
     basis = build_basis(N)
     coup = coupling_matrices(basis, quadrature_for_order(N))
     a = -np.log(exp_al) / spec.layer_depth
@@ -283,6 +288,68 @@ class TestPreconditioners:
         print(f"\npreconditioner iterations: jacobi={rep_j.iterations} "
               f"block_spatial={rep_b.iterations}")
         assert rep_j.converged and rep_b.converged
+
+
+def without_chain(blocks):
+    """The same operator on a copy of its mesh that has no parent."""
+    m = blocks.mesh
+    return dataclasses.replace(blocks, mesh=Mesh2D(m.vertices, m.triangles, m.tags, m.h))
+
+
+class TestVCycle:
+    """``block_spatial`` on the desk instance refined twice, a chain of three
+    meshes, against the exact per-degree LU of the same fine mesh."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return desk_instance(h=0.2, N=3, levels=2)
+
+    def test_symmetric_and_positive(self, chain):
+        _, _, blocks, _, _ = chain
+        pre = BlockSpatialPreconditioner(blocks)
+        x, y = RNG.normal(size=(2, blocks.n_even))
+        px, py = pre.apply(x), pre.apply(y)
+        assert abs(x @ py - y @ px) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(py)
+        for v in RNG.normal(size=(5, blocks.n_even)):
+            assert v @ pre.apply(v) > 0
+
+    def test_coarsest_lu_per_degree(self, chain):
+        mesh, _, blocks, _, _ = chain
+        coarsest = mesh.parent.parent
+        assert coarsest.parent is None
+        pre = BlockSpatialPreconditioner(blocks)
+        assert len(pre._solvers) == len(blocks.mode_groups)
+        assert all(lu.shape == (coarsest.n_vertices,) * 2 for lu in pre._solvers)
+
+    def test_mesh_without_parent_gets_the_exact_lu(self, chain):
+        _, _, blocks, _, _ = chain
+        flat = without_chain(blocks)
+        shape = (flat.mesh.n_vertices, flat.basis.n_plus)
+        r = RNG.normal(size=shape)
+        z = BlockSpatialPreconditioner(flat).apply(r.ravel()).reshape(shape)
+        for cols, block in _degree_blocks(flat):
+            assert z[:, cols].tobytes() == splu(block).solve(r[:, cols]).tobytes()
+
+    def test_iterations_within_two_of_the_lu_path(self, chain):
+        _, _, blocks, qp, qm = chain
+        fld, rep = solve_system(blocks, qp, qm, precond=BLOCK_SPATIAL, tol=1e-7)
+        fld_lu, rep_lu = solve_system(without_chain(blocks), qp, qm,
+                                      precond=BLOCK_SPATIAL, tol=1e-7)
+        print(f"\nPCG iterations: V-cycle {rep.iterations}, LU {rep_lu.iterations}")
+        assert rep.converged and rep_lu.converged
+        assert rep.iterations <= rep_lu.iterations + 2
+        for got, want in ((fld.even, fld_lu.even), (fld.odd, fld_lu.odd)):
+            assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+    def test_deterministic_across_builds(self, chain):
+        _, _, blocks, qp, qm = chain
+        runs = [solve_system(blocks, qp, qm, precond=BLOCK_SPATIAL, tol=1e-7)
+                for _ in range(2)]
+        (f1, r1), (f2, r2) = runs
+        assert r1.iterations == r2.iterations
+        assert r1.residual_history == r2.residual_history
+        assert f1.even.tobytes() == f2.even.tobytes()
+        assert f1.odd.tobytes() == f2.odd.tobytes()
 
 
 class TestTrends:
