@@ -9,6 +9,11 @@ modes.  The four system blocks are
   B: sum over i in {x, y} of (P1 -> P0 directional stiffness) kron T_i
   C: diagonal, |T| * (mu_T - sigma_l) per (triangle, odd mode)
 
+The weights depend on the degree l only.  ``BlockOperator.classes`` groups
+the even degrees whose mass block and neighbouring odd collision columns
+c_{l-1}, c_{l+1} are bitwise equal (with an isotropic kernel: {0} and every
+l >= 2); the mass products and both preconditioners run one block per class.
+
 All operator applications are matrix-free over the Kronecker factors, on
 (space, mode) arrays in C order: a sparse spatial product, then a product with
 a dense copy of T_i.  Explicit sparse assembly exists for small-instance
@@ -30,6 +35,7 @@ from pnpml.pml import TransportCoefficients
 __all__ = [
     "Field",
     "BlockOperator",
+    "NumericalError",
     "assemble_even_mass",
     "assemble_odd_diag",
     "project_source",
@@ -42,6 +48,11 @@ __all__ = [
 ]
 
 _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+
+
+class NumericalError(RuntimeError):
+    """A system that cannot be solved: a singular odd collision block, or
+    loss of positive definiteness during the iteration."""
 
 
 @dataclass
@@ -129,7 +140,32 @@ class BlockOperator:
     c_diag: np.ndarray  # (nt, n_minus)
 
     def __post_init__(self):
-        self.mode_groups = degree_groups(self.basis.even_degrees())
+        """Reject a singular odd block, then group the even degrees into
+        coefficient classes.
+
+        ``odd_columns[l]`` is the odd collision column c_l of odd degree l,
+        shared by all its orders.  ``classes`` lists (l, cols): even degrees
+        whose mass block and neighbouring odd columns c_{l-1}, c_{l+1} are
+        bitwise equal form one class, led by its lowest degree l, with the
+        positions of all its modes stacked in ``cols``.  Degree 0 has no
+        c_{-1}, so it is a class of its own."""
+        if np.any(self.c_diag == 0):
+            raise NumericalError("odd collision block has zero diagonal entries; "
+                                 "the elimination is singular")
+        self.odd_columns = {l: self.c_diag[:, rows[0]]
+                            for l, rows in degree_groups(self.basis.odd_degrees())}
+
+        def key(l):
+            m, below = self.mass_blocks[l], self.odd_columns.get(l - 1)
+            return (m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes(),
+                    None if below is None else below.tobytes(),
+                    self.odd_columns[l + 1].tobytes())
+
+        members = {}
+        for l, cols in degree_groups(self.basis.even_degrees()):
+            members.setdefault(key(l), []).append((l, cols))
+        self.classes = [(group[0][0], np.concatenate([cols for _, cols in group]))
+                        for group in members.values()]
         # dense angular factors (55 x 45 at N = 9) keep B and B^T in C order
         self._t_dense = (self.t_x.toarray(), self.t_y.toarray())
 
@@ -143,7 +179,7 @@ class BlockOperator:
 
     def apply_mass(self, u_even: np.ndarray) -> np.ndarray:
         out = np.empty_like(u_even)
-        for l, cols in self.mode_groups:
+        for l, cols in self.classes:
             out[:, cols] = self.mass_blocks[l] @ u_even[:, cols]
         return out
 
@@ -161,9 +197,6 @@ class BlockOperator:
         return self.g_x.T @ (v_odd @ t_x) + self.g_y.T @ (v_odd @ t_y)
 
     def solve_odd_diag(self, v_odd: np.ndarray) -> np.ndarray:
-        if np.any(self.c_diag == 0):
-            raise ZeroDivisionError("odd collision block has zero diagonal entries; "
-                                    "the elimination is singular")
         return v_odd / self.c_diag
 
     def restrict(self, sub_basis: AngularBasis) -> "BlockOperator":
@@ -180,7 +213,7 @@ class BlockOperator:
 
     def nnz_counts(self) -> dict[str, int]:
         """Stored entries of each block in assembled (Kronecker) form."""
-        nnz_m = sum(self.mass_blocks[l].nnz * cols.size for l, cols in self.mode_groups)
+        nnz_m = sum(self.mass_blocks[l].nnz * cols.size for l, cols in self.classes)
         nnz_r = int(self.boundary.nnz) * self.basis.n_plus
         nnz_b = self.g_x.nnz * self.t_x.nnz + self.g_y.nnz * self.t_y.nnz
         return {"mass": nnz_m, "boundary": nnz_r, "transport": nnz_b,
@@ -249,7 +282,7 @@ def explicit_matrices(op: BlockOperator):
     """
     basis = op.basis
     m_expl = csr_matrix((op.n_even, op.n_even))
-    for l, cols in op.mode_groups:
+    for l, cols in op.classes:
         sel = np.zeros(basis.n_plus)
         sel[cols] = 1.0
         m_expl = m_expl + kron(op.mass_blocks[l], diags(sel), format="csr")

@@ -3,11 +3,12 @@
 The odd unknowns are eliminated through the diagonal collision block, leaving
 the symmetric positive definite operator S = M + R + B^T C^{-1} B on the even
 unknowns.  S is applied matrix-free; the system is solved by preconditioned
-conjugate gradients.  Both preconditioners come from one block per even
-degree l: the mean over the 2l+1 orders m of the diagonal blocks of S, a P_N
-diffusion block.  ``jacobi`` inverts its diagonal.  ``block_spatial``
+conjugate gradients.  Both preconditioners come from one block per
+coefficient class of even degrees (``BlockOperator.classes``): the mean over
+the 2l+1 orders m of the diagonal blocks of S at the class's lowest degree l,
+a P_N diffusion block.  ``jacobi`` inverts its diagonal.  ``block_spatial``
 approximates its inverse by one symmetric Galerkin V-cycle over the mesh's
-refinement chain, with one sparse LU per degree on the coarsest mesh; on a
+refinement chain, with one sparse LU per class on the coarsest mesh; on a
 mesh that was not refined the cycle is that exact LU solve.
 
 For z-invariant problems the system splits exactly into two independent
@@ -25,10 +26,10 @@ import numpy as np
 from scipy.sparse import diags, vstack
 from scipy.sparse.linalg import splu
 
-from pnpml.angular import degree_groups
 from pnpml.assembly import (
     BlockOperator,
     Field,
+    NumericalError,
     even_l2_norm2,
     odd_l2_norm2,
     transport_seminorm2,
@@ -53,10 +54,6 @@ __all__ = [
 
 JACOBI = "jacobi"
 BLOCK_SPATIAL = "block_spatial"
-
-
-class NumericalError(RuntimeError):
-    """Loss of positive definiteness during the iteration."""
 
 
 class ConvergenceError(RuntimeError):
@@ -100,9 +97,11 @@ def recover_odd(blocks: BlockOperator, q_minus: np.ndarray, u_plus: np.ndarray) 
     return blocks.solve_odd_diag(q_minus - blocks.apply_transport(u_plus))
 
 
-def _degree_blocks(blocks: BlockOperator) -> list:
-    """(positions, block) per even degree l, where the block is the mean over
-    the 2l+1 orders of the diagonal blocks of S, the P_N diffusion block
+def _class_blocks(blocks: BlockOperator) -> list:
+    """(positions, block) per coefficient class (l, cols) of
+    ``blocks.classes``, where the block is the mean over the 2l+1 orders of
+    the diagonal blocks of S at the class's lowest degree l, the P_N
+    diffusion block
 
         M_l + R + G_x^T K_l G_x + G_y^T K_l G_y,
         K_l = diag((l+1)/c_{l+1} + l/c_{l-1}) / (3(2l+1)),
@@ -110,16 +109,13 @@ def _degree_blocks(blocks: BlockOperator) -> list:
     with c_l' the odd collision weight of degree l' per triangle: averaged
     over m, T_x and T_y reach degree l+1 and l-1 with these weights and do
     not mix x with y.  At l = 0 it is the P1 diffusion operator with
-    coefficient 1/(3(mu - sigma_1)).
+    coefficient 1/(3(mu - sigma_1)).  The other degrees of a class share
+    M_l and both c columns, so their blocks differ only by rounding.
     """
-    if np.any(blocks.c_diag == 0):
-        raise NumericalError("odd collision block is singular; cannot form "
-                             "the Schur preconditioner")
-    inv_c = {l: 1.0 / blocks.c_diag[:, rows[0]]  # same weight for all m of l
-             for l, rows in degree_groups(blocks.basis.odd_degrees())}
+    inv_c = {l: 1.0 / c for l, c in blocks.odd_columns.items()}
     g = vstack([blocks.g_x, blocks.g_y], format="csr")
     out = []
-    for l, cols in blocks.mode_groups:
+    for l, cols in blocks.classes:
         k = ((l + 1) * inv_c[l + 1] + l * inv_c.get(l - 1, 0.0)) / (3.0 * (2 * l + 1))
         block = blocks.mass_blocks[l] + blocks.boundary + g.T @ diags(np.tile(k, 2)) @ g
         out.append((cols, block.tocsc()))
@@ -127,13 +123,13 @@ def _degree_blocks(blocks: BlockOperator) -> list:
 
 
 class JacobiPreconditioner:
-    """Inverse diagonal of the per-degree blocks of S (:func:`_degree_blocks`)."""
+    """Inverse diagonal of the per-class blocks of S (:func:`_class_blocks`)."""
 
     kind = JACOBI
 
     def __init__(self, blocks: BlockOperator):
         diag = np.empty((blocks.mesh.n_vertices, blocks.basis.n_plus))
-        for cols, block in _degree_blocks(blocks):
+        for cols, block in _class_blocks(blocks):
             diag[:, cols] = block.diagonal()[:, None]
         if np.any(diag <= 0):
             raise NumericalError("nonpositive diagonal entry in the Schur operator")
@@ -164,12 +160,12 @@ def _v_cycle(levels: list, lu, b: np.ndarray) -> np.ndarray:
 
 
 class BlockSpatialPreconditioner:
-    """Multigrid solve of the per-degree blocks of S (:func:`_degree_blocks`).
+    """Multigrid solve of the per-class blocks of S (:func:`_class_blocks`).
 
-    Per even degree the block A is carried down the mesh's refinement chain
-    (``Mesh2D.parent``) as the Galerkin product Pᵀ A P, with P the P1
+    Per coefficient class the block A is carried down the mesh's refinement
+    chain (``Mesh2D.parent``) as the Galerkin product Pᵀ A P, with P the P1
     prolongation, and factorized once by a sparse LU on the coarsest mesh.
-    ``apply`` runs one V-cycle per degree, all orders of the degree as one
+    ``apply`` runs one V-cycle per class, all modes of the class as one
     multi-column right-hand side: on each finer level, _SWEEPS damped-Jacobi
     sweeps (weight _OMEGA) before the coarse correction and as many after,
     so the cycle is a symmetric operator.  A mesh without a parent is a chain
@@ -185,7 +181,7 @@ class BlockSpatialPreconditioner:
             # Pᵀ stored as CSR: a transposed view costs more per product
             chain.append((mesh.prolongation, mesh.prolongation.T.tocsr()))
         self._cols, self._levels, self._solvers = [], [], []
-        for cols, block in _degree_blocks(blocks):
+        for cols, block in _class_blocks(blocks):
             levels = []
             for p, pt in chain:
                 block = block.tocsr()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse import kron
 
-from pnpml.angular import build_basis, coupling_matrices, quadrature_for_order
+from pnpml.angular import build_basis, coupling_matrices, degree_groups, quadrature_for_order
 from pnpml.assembly import (
     Field,
     assemble_even_mass,
@@ -290,6 +290,52 @@ class TestRestrict:
             counts = sub.nnz_counts()
             assert counts["mass"] == explicit_matrices(sub)[0].nnz
             assert counts["odd"] == mesh.n_triangles * sub_basis.n_minus
+
+
+def class_degrees(op):
+    """The even degrees of each coefficient class, led by the class's l."""
+    degrees = op.basis.even_degrees()
+    return [(l, sorted(set(degrees[cols].tolist()))) for l, cols in op.classes]
+
+
+class TestClasses:
+    @staticmethod
+    def operator(N, kernel):
+        _, mesh, coeffs, basis, coup = rect_setup(N=N, sig=kernel)
+        return build_operator(mesh, basis, coup, coeffs)
+
+    @pytest.mark.parametrize("N", [3, 7, 9])
+    def test_isotropic_kernel_gives_two_z_even_classes(self, N):
+        op = self.operator(N, 10.0).restrict(build_basis(N).z_even())
+        assert class_degrees(op) == [(0, [0]), (2, list(range(2, N, 2)))]
+
+    def test_anisotropic_kernel_splits_the_low_degrees(self):
+        op = self.operator(7, [1.0, 0.3, 0.1])
+        assert class_degrees(op) == [(0, [0]), (2, [2]), (4, [4, 6])]
+
+    @pytest.mark.parametrize("kernel", [10.0, [1.0, 0.3, 0.1]], ids=["isotropic", "anisotropic"])
+    @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])
+    def test_classes_partition_the_even_columns(self, kernel, modes):
+        op = self.operator(7, kernel)
+        if modes != "full":
+            op = op.restrict(getattr(op.basis, modes)())
+        cols = np.concatenate([c for _, c in op.classes])
+        assert np.array_equal(np.sort(cols), np.arange(op.basis.n_plus))
+        degrees = op.basis.even_degrees()
+        for l, c in op.classes:
+            assert l == degrees[c].min()
+
+    @pytest.mark.parametrize("kernel", [10.0, [1.0, 0.3, 0.1]], ids=["isotropic", "anisotropic"])
+    def test_mass_products_and_counts_match_the_per_degree_loop(self, kernel):
+        op = self.operator(7, kernel)
+        u = RNG.normal(size=(op.mesh.n_vertices, op.basis.n_plus))
+        want = np.empty_like(u)
+        groups = degree_groups(op.basis.even_degrees())
+        for l, cols in groups:
+            want[:, cols] = op.mass_blocks[l] @ u[:, cols]
+        assert op.apply_mass(u).tobytes() == want.tobytes()
+        assert op.nnz_counts()["mass"] == sum(op.mass_blocks[l].nnz * cols.size
+                                              for l, cols in groups)
 
 
 class TestNorms:

@@ -403,6 +403,20 @@ class TestMain:
             "physics.source = gaussian 0.75 0 5.0", f"physics.source = {source}"))
         assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
 
+    def test_void_layer_fails_before_pcg(self, tmp_path, monkeypatch, capsys):
+        # exp(-a l) = 1 leaves the layer without absorption, so its odd
+        # collision entries are zero and the operator build rejects them
+        import pnpml.solver
+
+        def no_pcg(*args, **kwargs):
+            raise AssertionError("PCG must not start on a singular odd block")
+
+        monkeypatch.setattr(pnpml.solver, "pcg_solve", no_pcg)
+        path = self._write(tmp_path, EXAMPLE1.replace("pml.exp_al = 0.25", "pml.exp_al = 1"))
+        with pytest.warns(UserWarning, match="gamma <= 0"):
+            assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 3
+        assert "odd collision block" in capsys.readouterr().err
+
     def test_module_entry_point_runs_without_warnings(self):
         # importing the package must not import pnpml.cli before runpy executes it
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from pnpml.angular import build_basis, coupling_matrices, quadrature_for_order
+from pnpml.angular import build_basis, coupling_matrices, degree_groups, quadrature_for_order
 from pnpml.assembly import (
     build_operator,
     explicit_matrices,
@@ -20,7 +20,7 @@ from pnpml.solver import (
     JacobiPreconditioner,
     NumericalError,
     SchurOperator,
-    _degree_blocks,
+    _class_blocks,
     build_preconditioner,
     galerkin_residuals,
     pcg_solve,
@@ -88,10 +88,10 @@ class TestSchurApply:
 
     def test_singular_odd_block_raises(self):
         mesh, basis, blocks, qp, qm = small_instance()
-        blocks.c_diag = blocks.c_diag.copy()
-        blocks.c_diag[0, 0] = 0.0
-        with pytest.raises(ZeroDivisionError):
-            SchurOperator(blocks).apply(np.ones(blocks.n_even))
+        c_diag = blocks.c_diag.copy()
+        c_diag[0, 0] = 0.0
+        with pytest.raises(NumericalError):
+            SchurOperator(dataclasses.replace(blocks, c_diag=c_diag)).apply(np.ones(blocks.n_even))
 
 
 class TestPCG:
@@ -230,26 +230,31 @@ class TestPreconditioners:
         with pytest.raises(ValueError):
             build_preconditioner(blocks, "multigrid")
 
-    @pytest.mark.parametrize("N", [3, 5])
+    # with [1, .3, .1] no class merges at N <= 5; the isotropic kernel
+    # merges degrees 2 and 4 into one class
+    @pytest.mark.parametrize("N, kernel", [(3, [1.0, 0.3, 0.1]), (5, [1.0, 0.3, 0.1]), (5, 1.0)],
+                             ids=["3", "5", "5-isotropic"])
     @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])
-    def test_degree_blocks_are_order_means_of_schur_blocks(self, N, modes):
-        # each block is the mean over all 2l+1 orders of the diagonal blocks
-        # of the dense S of the full basis, for a restricted class too
-        _, basis, blocks, _, _ = small_instance(N, kernel=[1.0, 0.3, 0.1])
+    def test_degree_blocks_are_order_means_of_schur_blocks(self, N, kernel, modes):
+        # the block of each class is, within rounding, the mean over all
+        # 2l+1 orders of the diagonal blocks of the dense S of the full
+        # basis, for every degree l of the class and for a restricted basis too
+        _, basis, blocks, _, _ = small_instance(N, kernel=kernel)
         m_e, r_e, b_e, c_e = explicit_matrices(blocks)
         s_dense = ((m_e + r_e).toarray()
                    + b_e.T.toarray() @ np.diag(1.0 / c_e.diagonal()) @ b_e.toarray())
         n = basis.n_plus
         mean = {l: np.mean([s_dense[e::n, e::n] for e in cols], axis=0)
-                for l, cols in blocks.mode_groups}
+                for l, cols in degree_groups(basis.even_degrees())}
         sub_basis = basis if modes == "full" else getattr(basis, modes)()
         sub = blocks.restrict(sub_basis)
-        degree_blocks = _degree_blocks(sub)
-        assert len(degree_blocks) == len(sub.mode_groups) > 0
-        for (l, cols), (cols_b, block) in zip(sub.mode_groups, degree_blocks):
+        class_blocks = _class_blocks(sub)
+        assert len(class_blocks) == len(sub.classes) > 0
+        for (l, cols), (cols_b, block) in zip(sub.classes, class_blocks):
             assert np.array_equal(cols, cols_b)
-            assert (np.linalg.norm(block.toarray() - mean[l])
-                    <= 1e-12 * np.linalg.norm(mean[l]))
+            for degree in np.unique(sub.basis.even_degrees()[cols]):
+                assert (np.linalg.norm(block.toarray() - mean[degree])
+                        <= 1e-12 * np.linalg.norm(mean[degree]))
 
     @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])
     def test_both_kinds_come_from_the_degree_blocks(self, modes):
@@ -258,12 +263,12 @@ class TestPreconditioners:
         shape = (sub.mesh.n_vertices, sub.basis.n_plus)
         jac = JacobiPreconditioner(sub)
         blk = BlockSpatialPreconditioner(sub)
-        degree_blocks = _degree_blocks(sub)
-        # one LU per even degree of the class, not one per mode
-        assert len(blk._solvers) == len(np.unique(sub.basis.even_degrees()))
+        class_blocks = _class_blocks(sub)
+        # one LU per coefficient class, not one per mode
+        assert len(blk._solvers) == len(sub.classes)
         r = RNG.normal(size=sub.n_even)
         inv_diag, z = jac._inv_diag.reshape(shape), blk.apply(r).reshape(shape)
-        for cols, block in degree_blocks:
+        for cols, block in class_blocks:
             assert np.all(inv_diag[:, cols] == 1.0 / block.diagonal()[:, None])
             want = np.linalg.solve(block.toarray(), r.reshape(shape)[:, cols])
             assert np.allclose(z[:, cols], want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
@@ -271,10 +276,10 @@ class TestPreconditioners:
     @pytest.mark.parametrize("kind", [JACOBI, BLOCK_SPATIAL])
     def test_singular_odd_block_rejected(self, kind):
         _, _, blocks, _, _ = small_instance()
-        blocks.c_diag = blocks.c_diag.copy()
-        blocks.c_diag[3, 1] = 0.0
+        c_diag = blocks.c_diag.copy()
+        c_diag[3, 1] = 0.0
         with pytest.raises(NumericalError):
-            build_preconditioner(blocks, kind)
+            build_preconditioner(dataclasses.replace(blocks, c_diag=c_diag), kind)
 
     def test_block_spatial_beats_jacobi_on_desk_case(self):
         # comparison is recorded, not asserted numerically
@@ -298,7 +303,7 @@ def without_chain(blocks):
 
 class TestVCycle:
     """``block_spatial`` on the desk instance refined twice, a chain of three
-    meshes, against the exact per-degree LU of the same fine mesh."""
+    meshes, against the exact per-class LU of the same fine mesh."""
 
     @pytest.fixture(scope="class")
     def chain(self):
@@ -314,11 +319,12 @@ class TestVCycle:
             assert v @ pre.apply(v) > 0
 
     def test_coarsest_lu_per_degree(self, chain):
+        # one coarse LU per coefficient class
         mesh, _, blocks, _, _ = chain
         coarsest = mesh.parent.parent
         assert coarsest.parent is None
         pre = BlockSpatialPreconditioner(blocks)
-        assert len(pre._solvers) == len(blocks.mode_groups)
+        assert len(pre._solvers) == len(blocks.classes)
         assert all(lu.shape == (coarsest.n_vertices,) * 2 for lu in pre._solvers)
 
     def test_mesh_without_parent_gets_the_exact_lu(self, chain):
@@ -327,8 +333,25 @@ class TestVCycle:
         shape = (flat.mesh.n_vertices, flat.basis.n_plus)
         r = RNG.normal(size=shape)
         z = BlockSpatialPreconditioner(flat).apply(r.ravel()).reshape(shape)
-        for cols, block in _degree_blocks(flat):
+        for cols, block in _class_blocks(flat):
             assert z[:, cols].tobytes() == splu(block).solve(r[:, cols]).tobytes()
+
+    def test_merged_class_matches_the_per_degree_lu(self):
+        # the isotropic kernel puts degrees 2 and 4 in one class, solved with
+        # the block of degree 2; each degree's own block gives the same
+        # solution up to rounding
+        _, _, blocks, _, _ = desk_instance(h=0.2, N=5)
+        flat = without_chain(blocks)
+        assert [l for l, _ in flat.classes] == [0, 2]
+        per_degree = dataclasses.replace(flat)
+        per_degree.classes = degree_groups(flat.basis.even_degrees())
+        shape = (flat.mesh.n_vertices, flat.basis.n_plus)
+        r = RNG.normal(size=shape)
+        z = BlockSpatialPreconditioner(flat).apply(r.ravel()).reshape(shape)
+        want = np.empty(shape)
+        for cols, block in _class_blocks(per_degree):
+            want[:, cols] = splu(block).solve(r[:, cols])
+        assert np.linalg.norm(z - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_iterations_within_two_of_the_lu_path(self, chain):
         _, _, blocks, qp, qm = chain
