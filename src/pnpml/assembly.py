@@ -10,9 +10,10 @@ modes.  The four system blocks are
   C: diagonal, |T| * (mu_T - sigma_l) per (triangle, odd mode)
 
 The weights depend on the degree l only.  ``BlockOperator.classes`` groups
-the even degrees whose mass block and neighbouring odd collision columns
-c_{l-1}, c_{l+1} are bitwise equal (with an isotropic kernel: {0} and every
-l >= 2); the mass products and both preconditioners run one block per class.
+the even degrees l > 0 whose mass block is bitwise equal and whose
+neighbouring odd collision columns c_{l-1}, c_{l+1} are one bitwise equal
+column (with an isotropic kernel: {0} and every l >= 2); the mass products
+and both preconditioners run one block per class.
 
 All operator applications are matrix-free over the Kronecker factors, on
 (space, mode) arrays in C order: a sparse spatial product, then a product with
@@ -145,10 +146,13 @@ class BlockOperator:
 
         ``odd_columns[l]`` is the odd collision column c_l of odd degree l,
         shared by all its orders.  ``classes`` lists (l, cols): even degrees
-        whose mass block and neighbouring odd columns c_{l-1}, c_{l+1} are
-        bitwise equal form one class, led by its lowest degree l, with the
-        positions of all its modes stacked in ``cols``.  Degree 0 has no
-        c_{-1}, so it is a class of its own."""
+        l > 0 whose mass block is bitwise equal and whose neighbouring odd
+        columns c_{l-1} and c_{l+1} are one bitwise equal column form one
+        class, led by its lowest degree l, with the positions of all its modes
+        stacked in ``cols``.  The diffusion weight of degree l mixes c_{l-1}
+        and c_{l+1} with factors of l, which cancel only where the two
+        columns are equal, so degree 0, which has no c_{-1}, and any degree
+        with c_{l-1} != c_{l+1} are classes of their own."""
         if np.any(self.c_diag == 0):
             raise NumericalError("odd collision block has zero diagonal entries; "
                                  "the elimination is singular")
@@ -156,10 +160,10 @@ class BlockOperator:
                             for l, rows in degree_groups(self.basis.odd_degrees())}
 
         def key(l):
-            m, below = self.mass_blocks[l], self.odd_columns.get(l - 1)
-            return (m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes(),
-                    None if below is None else below.tobytes(),
-                    self.odd_columns[l + 1].tobytes())
+            m, above = self.mass_blocks[l], self.odd_columns[l + 1].tobytes()
+            below = self.odd_columns.get(l - 1)
+            own = l if below is None or below.tobytes() != above else None
+            return (m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes(), above, own)
 
         members = {}
         for l, cols in degree_groups(self.basis.even_degrees()):

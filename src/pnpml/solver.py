@@ -109,8 +109,9 @@ def _class_blocks(blocks: BlockOperator) -> list:
     with c_l' the odd collision weight of degree l' per triangle: averaged
     over m, T_x and T_y reach degree l+1 and l-1 with these weights and do
     not mix x with y.  At l = 0 it is the P1 diffusion operator with
-    coefficient 1/(3(mu - sigma_1)).  The other degrees of a class share
-    M_l and both c columns, so their blocks differ only by rounding.
+    coefficient 1/(3(mu - sigma_1)).  The other degrees l' of a class share
+    M_l and c_{l'-1} = c_{l'+1} = c_{l+1}, where K_l' = 1/(3 c_{l+1}) for
+    every l', so their blocks differ only by rounding.
     """
     inv_c = {l: 1.0 / c for l, c in blocks.odd_columns.items()}
     g = vstack([blocks.g_x, blocks.g_y], format="csr")

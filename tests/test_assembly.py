@@ -313,6 +313,13 @@ class TestClasses:
         op = self.operator(7, [1.0, 0.3, 0.1])
         assert class_degrees(op) == [(0, [0]), (2, [2]), (4, [4, 6])]
 
+    def test_unequal_odd_neighbours_keep_a_degree_apart(self):
+        # degree 6 has the mass weight of degree 2 and its odd neighbours
+        # (c_5, c_7) = (c_1, c_3), but c_1 != c_3: their diffusion weights
+        # differ, and neither degree may share a class
+        op = self.operator(7, [1.0, 0.02, 0.01, 0.01, 0.005, 0.02, 0.01, 0.01])
+        assert class_degrees(op) == [(0, [0]), (2, [2]), (4, [4]), (6, [6])]
+
     @pytest.mark.parametrize("kernel", [10.0, [1.0, 0.3, 0.1]], ids=["isotropic", "anisotropic"])
     @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])
     def test_classes_partition_the_even_columns(self, kernel, modes):

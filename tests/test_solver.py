@@ -33,6 +33,11 @@ from pnpml.solver import (
 RNG = np.random.default_rng(31415)
 
 
+# sigma_2 = sigma_6, sigma_1 = sigma_5 and sigma_3 = sigma_7, so degree 6
+# has the mass weight and the odd neighbours c_5, c_7 of degree 2 (c_1, c_3)
+SPLIT_KERNEL = [1.0, 0.02, 0.01, 0.01, 0.005, 0.02, 0.01, 0.01]
+
+
 def small_instance(N=3, kernel=1.0):
     """<= 50 triangles, suitable for dense verification."""
     spec = GeometrySpec(inner=Rect(0, 0, 1, 1), outer=Rect(-1, -1, 2, 2))
@@ -231,9 +236,11 @@ class TestPreconditioners:
             build_preconditioner(blocks, "multigrid")
 
     # with [1, .3, .1] no class merges at N <= 5; the isotropic kernel
-    # merges degrees 2 and 4 into one class
-    @pytest.mark.parametrize("N, kernel", [(3, [1.0, 0.3, 0.1]), (5, [1.0, 0.3, 0.1]), (5, 1.0)],
-                             ids=["3", "5", "5-isotropic"])
+    # merges degrees 2 and 4 into one class; SPLIT_KERNEL has equal mass
+    # weights and odd neighbours at degrees 2 and 6, but not equal blocks
+    @pytest.mark.parametrize("N, kernel", [(3, [1.0, 0.3, 0.1]), (5, [1.0, 0.3, 0.1]), (5, 1.0),
+                                           (7, SPLIT_KERNEL)],
+                             ids=["3", "5", "5-isotropic", "7-split"])
     @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])
     def test_degree_blocks_are_order_means_of_schur_blocks(self, N, kernel, modes):
         # the block of each class is, within rounding, the mean over all
@@ -264,8 +271,8 @@ class TestPreconditioners:
         jac = JacobiPreconditioner(sub)
         blk = BlockSpatialPreconditioner(sub)
         class_blocks = _class_blocks(sub)
-        # one LU per coefficient class, not one per mode
-        assert len(blk._solvers) == len(sub.classes)
+        # one LU per even degree of the class, not one per mode
+        assert len(blk._solvers) == len(np.unique(sub.basis.even_degrees()))
         r = RNG.normal(size=sub.n_even)
         inv_diag, z = jac._inv_diag.reshape(shape), blk.apply(r).reshape(shape)
         for cols, block in class_blocks:
@@ -319,12 +326,12 @@ class TestVCycle:
             assert v @ pre.apply(v) > 0
 
     def test_coarsest_lu_per_degree(self, chain):
-        # one coarse LU per coefficient class
+        # one coarse LU per coefficient class: {0} and {2} at N = 3
         mesh, _, blocks, _, _ = chain
         coarsest = mesh.parent.parent
         assert coarsest.parent is None
         pre = BlockSpatialPreconditioner(blocks)
-        assert len(pre._solvers) == len(blocks.classes)
+        assert len(pre._solvers) == 2
         assert all(lu.shape == (coarsest.n_vertices,) * 2 for lu in pre._solvers)
 
     def test_mesh_without_parent_gets_the_exact_lu(self, chain):
