@@ -22,8 +22,6 @@ from pnpml.angular import (
 from pnpml.assembly import (
     BlockOperator,
     Field,
-    assemble_even_mass,
-    assemble_odd_diag,
     build_operator,
     explicit_matrices,
     project_source,

@@ -4,16 +4,17 @@ Unknowns are tensor-product fields: the even component lives on P1 vertices
 times the even angular modes, the odd component on P0 triangles times the odd
 modes.  The four system blocks are
 
-  M: block-diagonal over even modes, P1 mass weighted by (mu - sigma_l)
+  M: block-diagonal over even modes, P1 mass weighted by w_l
   R: the P1 boundary mass on the outer boundary, identical for every mode
   B: sum over i in {x, y} of (P1 -> P0 directional stiffness) kron T_i
-  C: diagonal, |T| * (mu_T - sigma_l) per (triangle, odd mode)
+  C: diagonal, |T| * w_l per (triangle, odd mode)
 
-The weights depend on the degree l only.  ``BlockOperator.classes`` groups
-the even degrees l > 0 whose mass block is bitwise equal and whose
-neighbouring odd collision columns c_{l-1}, c_{l+1} are one bitwise equal
-column (with an isotropic kernel: {0} and every l >= 2); the mass products
-and both preconditioners run one block per class.
+with w_l = mu - sigma_l.  The weights depend on the degree only, and one
+table, ``BlockOperator.collision`` = [w_0 .. w_N], holds them.  Its columns
+key the coefficient classes ``BlockOperator.classes`` of the even degrees
+(with an isotropic kernel: {0} and every l >= 2); ``build_operator``
+assembles one mass block per class, and the mass products and both
+preconditioners run one block per class.
 
 All operator applications are matrix-free over the Kronecker factors, on
 (space, mode) arrays in C order: a sparse spatial product, then a product with
@@ -24,7 +25,7 @@ verification only.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags, identity, kron
@@ -37,8 +38,6 @@ __all__ = [
     "Field",
     "BlockOperator",
     "NumericalError",
-    "assemble_even_mass",
-    "assemble_odd_diag",
     "project_source",
     "build_operator",
     "explicit_matrices",
@@ -86,20 +85,6 @@ def p1_mass(mesh: Mesh2D, weight: np.ndarray | None = None,
     return csr_matrix((vals, (rows, cols)), shape=(nv, nv))
 
 
-def assemble_even_mass(mesh: Mesh2D, coeffs: TransportCoefficients,
-                       basis: AngularBasis) -> dict[int, csr_matrix]:
-    """One weighted P1 mass block per even degree; the block of mode (l, m)
-    depends on l only."""
-    if coeffs.gamma <= 0:
-        warnings.warn("collision coercivity gamma <= 0: the even mass block "
-                      "may be singular", stacklevel=2)
-    blocks = {}
-    for l, _ in degree_groups(basis.even_degrees()):
-        weight = coeffs.mu - coeffs.sigma_for_degree(l)
-        blocks[l] = p1_mass(mesh, weight=weight)
-    return blocks
-
-
 def gradient_matrices(mesh: Mesh2D) -> tuple[csr_matrix, csr_matrix]:
     """Sparse (n_triangles, n_vertices) maps with entries |T| * d_i(phi_j):
     integrals of P1 gradients against the P0 indicator of each triangle."""
@@ -115,15 +100,24 @@ def gradient_matrices(mesh: Mesh2D) -> tuple[csr_matrix, csr_matrix]:
     return g_x, g_y
 
 
-def assemble_odd_diag(mesh: Mesh2D, coeffs: TransportCoefficients,
-                      basis: AngularBasis) -> np.ndarray:
-    """Diagonal of the odd collision block, shape (n_triangles, n_minus)."""
-    odd_l = basis.odd_degrees()
-    weights = np.column_stack([coeffs.mu - coeffs.sigma_for_degree(int(l)) for l in odd_l])
-    c = mesh.areas[:, None] * weights
-    if coeffs.gamma > 0 and np.any(c <= 0):
-        raise RuntimeError("internal error: nonpositive odd-block entry despite gamma > 0")
-    return c
+def _coefficient_classes(w: np.ndarray, degrees: np.ndarray) -> list:
+    """(l, cols) per coefficient class of the even modes of degrees
+    ``degrees``: even degrees l > 0 with bitwise equal columns w_l and w_{l+1}
+    of the collision table ``w`` and with w_{l-1} = w_{l+1} form one class, led
+    by its lowest degree l, with the positions of all its modes in ``cols``.
+    The diffusion weight of degree l mixes w_{l-1} and w_{l+1} with factors of
+    l, which cancel only where the two are equal, so degree 0 and any degree
+    with w_{l-1} != w_{l+1} are classes of their own."""
+    def key(l):
+        above = w[:, l + 1].tobytes()
+        own = l if l == 0 or w[:, l - 1].tobytes() != above else None
+        return w[:, l].tobytes(), above, own
+
+    members = {}
+    for l, cols in degree_groups(degrees):
+        members.setdefault(key(l), []).append((l, cols))
+    return [(group[0][0], np.concatenate([cols for _, cols in group]))
+            for group in members.values()]
 
 
 @dataclass
@@ -138,38 +132,17 @@ class BlockOperator:
     g_y: csr_matrix
     t_x: csr_matrix
     t_y: csr_matrix
-    c_diag: np.ndarray  # (nt, n_minus)
+    collision: np.ndarray  # (nt, N + 1): w[:, l] = mu - sigma_l
 
     def __post_init__(self):
-        """Reject a singular odd block, then group the even degrees into
-        coefficient classes.
-
-        ``odd_columns[l]`` is the odd collision column c_l of odd degree l,
-        shared by all its orders.  ``classes`` lists (l, cols): even degrees
-        l > 0 whose mass block is bitwise equal and whose neighbouring odd
-        columns c_{l-1} and c_{l+1} are one bitwise equal column form one
-        class, led by its lowest degree l, with the positions of all its modes
-        stacked in ``cols``.  The diffusion weight of degree l mixes c_{l-1}
-        and c_{l+1} with factors of l, which cancel only where the two
-        columns are equal, so degree 0, which has no c_{-1}, and any degree
-        with c_{l-1} != c_{l+1} are classes of their own."""
+        """Form the odd diagonal ``c_diag`` = |T| w_l, shape (nt, n_minus),
+        reject it if singular, and group the even degrees into coefficient
+        classes (:func:`_coefficient_classes`)."""
+        self.c_diag = self.mesh.areas[:, None] * self.collision[:, self.basis.odd_degrees()]
         if np.any(self.c_diag == 0):
             raise NumericalError("odd collision block has zero diagonal entries; "
                                  "the elimination is singular")
-        self.odd_columns = {l: self.c_diag[:, rows[0]]
-                            for l, rows in degree_groups(self.basis.odd_degrees())}
-
-        def key(l):
-            m, above = self.mass_blocks[l], self.odd_columns[l + 1].tobytes()
-            below = self.odd_columns.get(l - 1)
-            own = l if below is None or below.tobytes() != above else None
-            return (m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes(), above, own)
-
-        members = {}
-        for l, cols in degree_groups(self.basis.even_degrees()):
-            members.setdefault(key(l), []).append((l, cols))
-        self.classes = [(group[0][0], np.concatenate([cols for _, cols in group]))
-                        for group in members.values()]
+        self.classes = _coefficient_classes(self.collision, self.basis.even_degrees())
         # dense angular factors (55 x 45 at N = 9) keep B and B^T in C order
         self._t_dense = (self.t_x.toarray(), self.t_y.toarray())
 
@@ -205,15 +178,12 @@ class BlockOperator:
 
     def restrict(self, sub_basis: AngularBasis) -> "BlockOperator":
         """The operator on a subset of the angular modes, such as one z-parity
-        class (:meth:`AngularBasis.z_even`).  Mesh, mass blocks, boundary and
-        gradient factors are shared; the rows and columns of T_x, T_y and the
-        columns of the odd diagonal are sliced."""
+        class (:meth:`AngularBasis.z_even`).  Mesh, mass blocks, boundary,
+        gradient factors and collision table are shared; the rows and columns
+        of T_x and T_y are sliced."""
         even, odd = self.basis.positions(sub_basis)
-        return BlockOperator(
-            mesh=self.mesh, basis=sub_basis, mass_blocks=self.mass_blocks,
-            boundary=self.boundary, g_x=self.g_x, g_y=self.g_y,
-            t_x=self.t_x[odd][:, even], t_y=self.t_y[odd][:, even],
-            c_diag=self.c_diag[:, odd])
+        return replace(self, basis=sub_basis,
+                       t_x=self.t_x[odd][:, even], t_y=self.t_y[odd][:, even])
 
     def nnz_counts(self) -> dict[str, int]:
         """Stored entries of each block in assembled (Kronecker) form."""
@@ -228,15 +198,27 @@ def build_operator(mesh: Mesh2D, basis: AngularBasis, couplings: AngularCoupling
                    coeffs: TransportCoefficients) -> BlockOperator:
     """The four blocks; the transport block is B = sum_i G_i kron T_i over
     i in {x, y}: the z factor drops out because fields do not vary along the
-    invariant axis."""
+    invariant axis.  ``mass_blocks`` has a key for every even degree, and the
+    degrees of one coefficient class share one matrix."""
+    gamma = coeffs.gamma
+    if gamma <= 0:
+        warnings.warn("collision coercivity gamma <= 0: the even mass block "
+                      "may be singular", stacklevel=2)
+    w = coeffs.collision(basis.order)
+    if gamma > 0 and np.any(w[:, 1::2] <= 0):
+        raise RuntimeError("internal error: nonpositive odd-block entry despite gamma > 0")
+    degrees = basis.even_degrees()
+    mass_blocks = {}
+    for l, cols in _coefficient_classes(w, degrees):
+        mass_blocks.update(dict.fromkeys(degrees[cols].tolist(), p1_mass(mesh, weight=w[:, l])))
     g_x, g_y = gradient_matrices(mesh)
     return BlockOperator(
         mesh=mesh,
         basis=basis,
-        mass_blocks=assemble_even_mass(mesh, coeffs, basis),
+        mass_blocks=mass_blocks,
         boundary=boundary_mass_matrix(mesh),
         g_x=g_x, g_y=g_y, t_x=couplings.t_x, t_y=couplings.t_y,
-        c_diag=assemble_odd_diag(mesh, coeffs, basis),
+        collision=w,
     )
 
 

@@ -54,6 +54,10 @@ class Disk:
     cy: float
     radius: float
 
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise GeometryError(f"disk radius must be positive, got {self.radius}")
+
     @property
     def center(self) -> np.ndarray:
         return np.array([self.cx, self.cy])
@@ -540,12 +544,11 @@ def load_mesh(path, h: float | None = None) -> Mesh2D:
             or (len(head) == 6 and head[4] != "h")):
         raise ValueError("bad mesh file header")
     nv, nt = int(head[1]), int(head[3])
-    if len(head) == 6:
-        stored_h = float(head[5])
-        if not (np.isfinite(stored_h) and stored_h > 0):
-            raise ValueError(f"mesh file h must be positive and finite, got {head[5]}")
-        if h is None:
-            h = stored_h
+    for value, what in [(h, "h"), (head[5] if len(head) == 6 else None, "mesh file h")]:
+        if value is not None and not (np.isfinite(float(value)) and float(value) > 0):
+            raise ValueError(f"{what} must be positive and finite, got {value}")
+    if h is None and len(head) == 6:
+        h = float(head[5])
     if nv < 0 or nt < 1 or len(lines) < 1 + nv + nt:
         raise ValueError(f"mesh file holds {len(lines) - 1} rows for {nv} vertices "
                          f"and {nt} triangles")

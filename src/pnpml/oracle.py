@@ -263,6 +263,8 @@ def source_iteration(mesh: Mesh2D, coeffs: TransportCoefficients,
     """
     if bc not in (VACUUM, REFLECT):
         raise ValueError(f"unknown boundary condition {bc!r}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     nd = ordinates.n_dirs
     nbe = mesh.boundary_edges.shape[0]
 

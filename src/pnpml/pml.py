@@ -43,18 +43,24 @@ class TransportCoefficients:
     sigma: np.ndarray   # (nt, K) scattering eigenvalues, zero rows on the layer
     source: np.ndarray  # (nt,) isotropic source density, zero on the layer
     a: float            # layer absorption
-    gamma: float        # min over triangles and degrees of (mu - sigma_l)
     big_gamma: float    # max of mu
+
+    def collision(self, order: int) -> np.ndarray:
+        """The P_N collision weights w[:, l] = mu - sigma_l for l = 0..order,
+        shape (n_triangles, order + 1); sigma_l = 0 beyond the kernel list."""
+        w = np.repeat(self.mu[:, None], order + 1, axis=1)
+        w[:, :self.sigma.shape[1]] -= self.sigma[:, :order + 1]
+        return w
+
+    @property
+    def gamma(self) -> float:
+        """Min over triangles and degrees of mu - sigma_l."""
+        return float(self.collision(self.sigma.shape[1]).min())
 
     @property
     def a5_satisfied(self) -> bool:
         """Uniform coercivity of the collision operator."""
         return self.gamma > 0
-
-    def sigma_for_degree(self, l: int) -> np.ndarray:
-        if l < self.sigma.shape[1]:
-            return self.sigma[:, l]
-        return np.zeros(self.mu.shape[0])
 
 
 def _sample(value, points: np.ndarray) -> np.ndarray:
@@ -106,11 +112,8 @@ def extend_coefficients(mesh: Mesh2D, mu, kernel, source, a: float) -> Transport
     if np.any(sigma[interior, 0] > mu_tri[interior] + 1e-12):
         raise ModelError("subcriticality violated: sigma_0 must not exceed mu")
 
-    candidates = np.column_stack([mu_tri[:, None] - sigma, mu_tri])
-    gamma = float(candidates.min())
-    big_gamma = float(mu_tri.max())
     return TransportCoefficients(mu=mu_tri, sigma=sigma, source=src, a=float(a),
-                                 gamma=gamma, big_gamma=big_gamma)
+                                 big_gamma=float(mu_tri.max()))
 
 
 def extension_apply(spec: GeometrySpec, coeffs, u_boundary_trace, r, s) -> float:

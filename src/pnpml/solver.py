@@ -106,14 +106,15 @@ def _class_blocks(blocks: BlockOperator) -> list:
         M_l + R + G_x^T K_l G_x + G_y^T K_l G_y,
         K_l = diag((l+1)/c_{l+1} + l/c_{l-1}) / (3(2l+1)),
 
-    with c_l' the odd collision weight of degree l' per triangle: averaged
-    over m, T_x and T_y reach degree l+1 and l-1 with these weights and do
-    not mix x with y.  At l = 0 it is the P1 diffusion operator with
+    with c_l' = |T| w_l' the odd collision column of degree l', read from the
+    table ``blocks.collision``: averaged over m, T_x and T_y reach degree l+1
+    and l-1 with these weights and do not mix x with y.  At l = 0 it is the P1 diffusion operator with
     coefficient 1/(3(mu - sigma_1)).  The other degrees l' of a class share
     M_l and c_{l'-1} = c_{l'+1} = c_{l+1}, where K_l' = 1/(3 c_{l+1}) for
     every l', so their blocks differ only by rounding.
     """
-    inv_c = {l: 1.0 / c for l, c in blocks.odd_columns.items()}
+    w = blocks.collision
+    inv_c = {l: 1.0 / (blocks.mesh.areas * w[:, l]) for l in range(1, w.shape[1], 2)}
     g = vstack([blocks.g_x, blocks.g_y], format="csr")
     out = []
     for l, cols in blocks.classes:

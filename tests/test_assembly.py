@@ -3,10 +3,9 @@ import pytest
 from scipy.sparse import kron
 
 from pnpml.angular import build_basis, coupling_matrices, degree_groups, quadrature_for_order
+import pnpml.assembly
 from pnpml.assembly import (
     Field,
-    assemble_even_mass,
-    assemble_odd_diag,
     build_operator,
     even_l2_norm2,
     explicit_matrices,
@@ -59,6 +58,11 @@ def disk_setup(h=0.1, N=3):
     return spec, mesh, coeffs, basis, coup
 
 
+def weight(coeffs, l):
+    """mu - sigma_l, with sigma_l = 0 beyond the kernel list."""
+    return coeffs.mu - (coeffs.sigma[:, l] if l < coeffs.sigma.shape[1] else 0.0)
+
+
 class TestEvenMass:
     def test_unit_right_triangle_local_mass(self):
         mesh = unit_right_triangle()
@@ -66,31 +70,45 @@ class TestEvenMass:
         assert np.allclose(m, np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0, atol=1e-15)
 
     def test_constant_field_quadratic_form(self):
-        _, mesh, coeffs, basis, _ = rect_setup()
-        blocks = assemble_even_mass(mesh, coeffs, basis)
+        _, mesh, coeffs, basis, coup = rect_setup()
+        blocks = build_operator(mesh, basis, coup, coeffs).mass_blocks
         ones = np.ones(mesh.n_vertices)
+        assert sorted(blocks) == sorted(set(basis.even_degrees().tolist()))
         for l, block in blocks.items():
-            weight = coeffs.mu - coeffs.sigma_for_degree(l)
-            assert ones @ (block @ ones) == pytest.approx(np.sum(weight * mesh.areas), rel=1e-12)
+            want = np.sum(weight(coeffs, l) * mesh.areas)
+            assert ones @ (block @ ones) == pytest.approx(want, rel=1e-12)
 
     def test_example1_weights(self):
-        _, mesh, coeffs, basis, _ = rect_setup(mu=10.1, sig=10.0)
+        _, mesh, coeffs, basis, coup = rect_setup(mu=10.1, sig=10.0)
         interior = mesh.tags == INTERIOR
-        w0 = coeffs.mu - coeffs.sigma_for_degree(0)
-        w2 = coeffs.mu - coeffs.sigma_for_degree(2)
-        assert np.allclose(w0[interior], 0.1)
-        assert np.allclose(w2[interior], 10.1)
+        w = build_operator(mesh, basis, coup, coeffs).collision
+        assert w.shape == (mesh.n_triangles, basis.order + 1)
+        assert np.allclose(w[interior, 0], 0.1)
+        assert np.allclose(w[interior, 1:], 10.1)
+        for l in range(basis.order + 1):
+            assert np.array_equal(w[:, l], weight(coeffs, l))
+
+    @pytest.mark.parametrize("kernel", [10.0, [1.0, 0.3, 0.1]], ids=["isotropic", "anisotropic"])
+    def test_blocks_are_the_per_degree_masses(self, kernel):
+        _, mesh, coeffs, basis, coup = rect_setup(N=7, sig=kernel)
+        blocks = build_operator(mesh, basis, coup, coeffs).mass_blocks
+        for l, block in blocks.items():
+            want = p1_mass(mesh, weight=weight(coeffs, l))
+            assert (block.data.tobytes(), block.indices.tobytes()) == (
+                want.data.tobytes(), want.indices.tobytes())
 
     def test_gamma_zero_warns(self):
         spec = GeometrySpec(inner=Rect(0, 0, 7, 7), outer=Rect(-1, -1, 8, 8))
         mesh = build_mesh(spec, 1.0)
         coeffs = extend_coefficients(mesh, 1.0, 1.0, 1.0, a=1.0)  # mu == sigma_0
-        with pytest.warns(UserWarning):
-            assemble_even_mass(mesh, coeffs, build_basis(1))
+        basis = build_basis(1)
+        coup = coupling_matrices(basis, quadrature_for_order(1))
+        with pytest.warns(UserWarning, match="collision coercivity gamma <= 0"):
+            build_operator(mesh, basis, coup, coeffs)
 
     def test_symmetry_and_positivity(self):
-        _, mesh, coeffs, basis, _ = rect_setup()
-        blocks = assemble_even_mass(mesh, coeffs, basis)
+        _, mesh, coeffs, basis, coup = rect_setup()
+        blocks = build_operator(mesh, basis, coup, coeffs).mass_blocks
         for block in blocks.values():
             assert (block - block.T).nnz == 0
         for _ in range(100):
@@ -161,8 +179,8 @@ class TestOddDiag:
     def test_example1_entries(self):
         # rect cells of h=1 split into triangles of area 1/2; the layer depth
         # is 1, so exp(-a*l) = 1/32 gives a = ln 32 = 5 ln 2 = 3.4657
-        _, mesh, coeffs, basis, _ = rect_setup(mu=10.1, sig=10.0, exp_al=1 / 32)
-        c = assemble_odd_diag(mesh, coeffs, basis)
+        _, mesh, coeffs, basis, coup = rect_setup(mu=10.1, sig=10.0, exp_al=1 / 32)
+        c = build_operator(mesh, basis, coup, coeffs).c_diag
         interior = mesh.tags == INTERIOR
         l1 = [k for k, (l, _) in enumerate(basis.odd_indices) if l == 1]
         assert np.allclose(c[interior][:, l1], 0.5 * 10.1)
@@ -171,11 +189,20 @@ class TestOddDiag:
         assert c[layer][0, l1[0]] == pytest.approx(1.7329, abs=2e-4)
 
     def test_strictly_positive_when_coercive(self):
-        _, mesh, coeffs, basis, _ = rect_setup()
+        _, mesh, coeffs, basis, coup = rect_setup()
         assert coeffs.gamma > 0
-        c = assemble_odd_diag(mesh, coeffs, basis)
+        c = build_operator(mesh, basis, coup, coeffs).c_diag
         assert np.all(c > 0)
         assert np.count_nonzero(c) == mesh.n_triangles * basis.n_minus
+
+    @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])
+    def test_entries_are_area_times_weight(self, modes):
+        _, mesh, coeffs, basis, coup = rect_setup(N=5, sig=[1.0, 0.3, 0.1])
+        op = build_operator(mesh, basis, coup, coeffs)
+        if modes != "full":
+            op = op.restrict(getattr(basis, modes)())
+        for k, l in enumerate(op.basis.odd_degrees()):
+            assert np.array_equal(op.c_diag[:, k], mesh.areas * weight(coeffs, l))
 
 
 class TestProjectSource:
@@ -292,6 +319,10 @@ class TestRestrict:
             assert counts["odd"] == mesh.n_triangles * sub_basis.n_minus
 
 
+# degrees 5, 6 and 7 repeat the weights of degrees 1, 2 and 3
+SPLIT_KERNEL = [1.0, 0.02, 0.01, 0.01, 0.005, 0.02, 0.01, 0.01]
+
+
 def class_degrees(op):
     """The even degrees of each coefficient class, led by the class's l."""
     degrees = op.basis.even_degrees()
@@ -334,15 +365,38 @@ class TestClasses:
 
     @pytest.mark.parametrize("kernel", [10.0, [1.0, 0.3, 0.1]], ids=["isotropic", "anisotropic"])
     def test_mass_products_and_counts_match_the_per_degree_loop(self, kernel):
-        op = self.operator(7, kernel)
+        _, mesh, coeffs, basis, coup = rect_setup(N=7, sig=kernel)
+        op = build_operator(mesh, basis, coup, coeffs)
         u = RNG.normal(size=(op.mesh.n_vertices, op.basis.n_plus))
         want = np.empty_like(u)
         groups = degree_groups(op.basis.even_degrees())
+        masses = {l: p1_mass(mesh, weight=weight(coeffs, l)) for l, _ in groups}
         for l, cols in groups:
-            want[:, cols] = op.mass_blocks[l] @ u[:, cols]
+            want[:, cols] = masses[l] @ u[:, cols]
         assert op.apply_mass(u).tobytes() == want.tobytes()
-        assert op.nnz_counts()["mass"] == sum(op.mass_blocks[l].nnz * cols.size
-                                              for l, cols in groups)
+        assert op.nnz_counts()["mass"] == sum(masses[l].nnz * cols.size for l, cols in groups)
+
+    @pytest.mark.parametrize("kernel, n_classes", [(10.0, 2), ([1.0, 0.3, 0.1], 3),
+                                                   (SPLIT_KERNEL, 4)],
+                             ids=["isotropic", "anisotropic", "split"])
+    def test_one_mass_per_class_and_none_on_restrict(self, kernel, n_classes, monkeypatch):
+        _, mesh, coeffs, basis, coup = rect_setup(N=7, sig=kernel)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("weight"))
+            return p1_mass(*args, **kwargs)
+
+        monkeypatch.setattr(pnpml.assembly, "p1_mass", counted)
+        op = build_operator(mesh, basis, coup, coeffs)
+        assert len(calls) == len(op.classes) == n_classes
+        for l, cols in op.classes:
+            for degree in basis.even_degrees()[cols]:
+                assert op.mass_blocks[degree] is op.mass_blocks[l]
+        for sub_basis in (basis.z_even(), basis.z_odd()):
+            sub = op.restrict(sub_basis)
+            assert sub.collision is op.collision and sub.mass_blocks is op.mass_blocks
+        assert len(calls) == n_classes
 
 
 class TestNorms:

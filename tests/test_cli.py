@@ -403,6 +403,19 @@ class TestMain:
             "physics.source = gaussian 0.75 0 5.0", f"physics.source = {source}"))
         assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
 
+    @pytest.mark.parametrize("inner", ["0 0 0", "0 0 -1.0"], ids=["zero", "negative"])
+    def test_non_positive_disk_radius_fails_fast(self, tmp_path, monkeypatch, capsys, inner):
+        import pnpml.solver
+
+        def no_pcg(*args, **kwargs):
+            raise AssertionError("PCG must not start on a degenerate disk")
+
+        monkeypatch.setattr(pnpml.solver, "pcg_solve", no_pcg)
+        path = self._write(tmp_path, EXAMPLE1.replace("geometry.inner = 0 0 1.0",
+                                                      f"geometry.inner = {inner}"))
+        assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
+        assert "disk radius must be positive" in capsys.readouterr().err
+
     def test_void_layer_fails_before_pcg(self, tmp_path, monkeypatch, capsys):
         # exp(-a l) = 1 leaves the layer without absorption, so its odd
         # collision entries are zero and the operator build rejects them

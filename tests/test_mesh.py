@@ -124,6 +124,11 @@ class TestBuildDisk:
         r = np.linalg.norm(sub.vertices[sub.boundary_vertices], axis=1)
         assert np.allclose(r, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_non_positive_radius_rejected(self, radius):
+        with pytest.raises(GeometryError, match="disk radius must be positive"):
+            Disk(0.0, 0.0, radius)
+
     def test_quasi_uniform(self):
         mesh = build_mesh(example1_spec(), 0.1)
         a, b, c = mesh.vertices[mesh.triangles].transpose(1, 0, 2)
@@ -412,6 +417,14 @@ class TestAsciiIO:
         assert load_mesh(path, h=0.2).h == 0.2
 
     GOOD = "vertices 3 triangles 1\n0 0\n1 0\n0 1\n0 1 2 0\n"
+
+    @pytest.mark.parametrize("h", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_h_override_rejected(self, tmp_path, h):
+        path = tmp_path / "mesh.txt"
+        for text in (self.GOOD, self.GOOD.replace("triangles 1", "triangles 1 h 0.5")):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="h must be positive and finite"):
+                load_mesh(path, h=h)
 
     @pytest.mark.parametrize("text", [
         "",

@@ -359,6 +359,13 @@ class TestSourceIteration:
             source_iteration(mesh, coeffs, ords, VACUUM, tol=1e-6,
                              max_iter=None)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_empty_iteration_budget_rejected(self, max_iter):
+        _, mesh, coeffs, src = disk_setup(h=0.5, mu=2.0, sig0=0.5, a=1.0)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            source_iteration(mesh, coeffs, build_ordinates(2, 4), VACUUM, tol=1e-6,
+                             q=src, max_iter=max_iter)
+
     def test_contraction_rate(self):
         _, mesh, coeffs, src = disk_setup(h=0.25, mu=2.0, sig0=0.6, a=2.0)
         ords = build_ordinates(4, 8)

@@ -93,10 +93,10 @@ class TestSchurApply:
 
     def test_singular_odd_block_raises(self):
         mesh, basis, blocks, qp, qm = small_instance()
-        c_diag = blocks.c_diag.copy()
-        c_diag[0, 0] = 0.0
+        w = blocks.collision.copy()
+        w[0, basis.odd_degrees()[0]] = 0.0
         with pytest.raises(NumericalError):
-            SchurOperator(dataclasses.replace(blocks, c_diag=c_diag)).apply(np.ones(blocks.n_even))
+            SchurOperator(dataclasses.replace(blocks, collision=w)).apply(np.ones(blocks.n_even))
 
 
 class TestPCG:
@@ -282,11 +282,11 @@ class TestPreconditioners:
 
     @pytest.mark.parametrize("kind", [JACOBI, BLOCK_SPATIAL])
     def test_singular_odd_block_rejected(self, kind):
-        _, _, blocks, _, _ = small_instance()
-        c_diag = blocks.c_diag.copy()
-        c_diag[3, 1] = 0.0
+        _, basis, blocks, _, _ = small_instance()
+        w = blocks.collision.copy()
+        w[3, basis.odd_degrees()[1]] = 0.0
         with pytest.raises(NumericalError):
-            build_preconditioner(dataclasses.replace(blocks, c_diag=c_diag), kind)
+            build_preconditioner(dataclasses.replace(blocks, collision=w), kind)
 
     def test_block_spatial_beats_jacobi_on_desk_case(self):
         # comparison is recorded, not asserted numerically
