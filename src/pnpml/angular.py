@@ -155,10 +155,6 @@ class SphereQuadrature:
         object.__setattr__(self, "nodes", np.ascontiguousarray(self.nodes, dtype=float))
         object.__setattr__(self, "weights", np.ascontiguousarray(self.weights, dtype=float))
 
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
-
     def integrate(self, values: np.ndarray) -> np.ndarray | float:
         """Integrate sampled values (first axis = nodes) over the sphere."""
         return np.tensordot(self.weights, values, axes=(0, 0))

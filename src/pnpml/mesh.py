@@ -40,9 +40,6 @@ __all__ = [
 INTERIOR = 0
 LAYER = 1
 
-# outer-boundary samples behind GeometrySpec.layer_depth and .grazing_sine
-_OUTER_SAMPLES = 2048
-
 
 class GeometryError(ValueError):
     """Raised for degenerate or unsupported geometric configurations."""
@@ -86,23 +83,6 @@ class Disk:
             return np.inf
         return max(t, 0.0)
 
-    def min_hit_incidence(self, v: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """Per point v (k, 2) with normal n (k, 2): the minimum of s.n over
-        in-plane travel directions s that reach v from the disk (the grazing
-        incidence); 0 for points inside the disk."""
-        d = v - self.center
-        dist = np.linalg.norm(d, axis=1)
-        # travel directions form a cone of half-angle beta about unit(v - c);
-        # clamping dist only changes rows that the final where discards
-        far = np.maximum(dist, self.radius)[:, None]
-        w = d / far
-        beta = np.arcsin(self.radius / far)
-        cb, sb = np.cos(beta), np.sin(beta)
-        wp = np.column_stack([-w[:, 1], w[:, 0]])
-        hit = np.minimum(np.sum((w * cb - wp * sb) * n, axis=1),
-                         np.sum((w * cb + wp * sb) * n, axis=1))
-        return np.where(dist <= self.radius, 0.0, hit)
-
 
 @dataclass(frozen=True)
 class Rect:
@@ -112,13 +92,8 @@ class Rect:
     y1: float
 
     def __post_init__(self):
-        if self.x1 <= self.x0 or self.y1 <= self.y0:
+        if not (self.x0 < self.x1 and self.y0 < self.y1):  # also trips on NaN
             raise GeometryError("rectangle must have positive extents")
-
-    @property
-    def corners(self) -> np.ndarray:
-        return np.array([[self.x0, self.y0], [self.x1, self.y0],
-                         [self.x1, self.y1], [self.x0, self.y1]])
 
     def contains(self, p) -> np.ndarray:
         p = np.atleast_2d(p)
@@ -166,45 +141,57 @@ class Rect:
             return np.inf
         return max(tmin, 0.0)
 
-    def min_hit_incidence(self, v: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """As :meth:`Disk.min_hit_incidence`: the extreme travel directions
-        come from the corners; 0 for a point on a corner."""
-        d = v[:, None, :] - self.corners
-        nd = np.linalg.norm(d, axis=2)
-        on_corner = np.any(nd < 1e-14, axis=1)
-        unit = d / np.maximum(nd, 1e-14)[:, :, None]
-        return np.where(on_corner, 0.0, np.min(np.sum(unit * n[:, None, :], axis=2), axis=1))
-
 
 Shape = Disk | Rect
 
 
 @dataclass(frozen=True)
 class GeometrySpec:
-    """Inner region of interest plus the convex extension that carries the
-    absorbing layer."""
+    """Inner region of interest plus the extension that carries the absorbing
+    layer, in one of the two layouts :func:`build_mesh` meshes: a disk in a
+    concentric disk, or a rectangle strictly inside a rectangle."""
 
     inner: Shape
     outer: Shape
 
     def __post_init__(self):
-        pts, _ = self.inner.boundary_points(256)
-        d = self.outer.distance(pts)
-        if np.any(d >= -1e-12):
+        inner, outer = self.inner, self.outer
+        if isinstance(inner, Disk) and isinstance(outer, Disk):
+            if inner.cx != outer.cx or inner.cy != outer.cy:  # also trips on NaN
+                raise GeometryError("a disk layout needs concentric disks")
+        elif not (isinstance(inner, Rect) and isinstance(outer, Rect)):
+            raise GeometryError("the layout must be a disk in a concentric disk "
+                                "or a rectangle in a rectangle")
+        if not self.layer_depth > 0:
             raise GeometryError("inner region must be compactly contained in the outer one")
+
+    def _sides(self) -> list[tuple[float, float]]:
+        """(gap, span) per side of a rectangle layout, bottom, top, left, right:
+        the gap between the inner and outer side and the longest reach along
+        the side from the inner rectangle to an outer corner."""
+        i, o = self.inner, self.outer
+        span_x = max(o.x1 - i.x0, i.x1 - o.x0)
+        span_y = max(o.y1 - i.y0, i.y1 - o.y0)
+        return [(i.y0 - o.y0, span_x), (o.y1 - i.y1, span_x),
+                (i.x0 - o.x0, span_y), (o.x1 - i.x1, span_y)]
 
     @property
     def layer_depth(self) -> float:
-        """Minimal distance between the outer boundary and the inner region."""
-        pts, _ = self.outer.boundary_points(_OUTER_SAMPLES)
-        return float(np.min(self.inner.distance(pts)))
+        """Minimal distance between the outer boundary and the inner region:
+        R - r, or the smallest of the four gaps."""
+        if isinstance(self.inner, Disk):
+            return float(self.outer.radius - self.inner.radius)
+        return float(min(gap for gap, _ in self._sides()))
 
     @property
     def grazing_sine(self) -> float:
         """Minimal in-plane incidence u.n over outer-boundary points and
-        backward directions u that reach the inner region."""
-        pts, nrms = self.outer.boundary_points(_OUTER_SAMPLES)
-        return float(np.min(self.inner.min_hit_incidence(pts, nrms)))
+        travel directions u that reach them from the inner region:
+        sqrt(1 - (r/R)^2) along a tangent to the inner circle, or the
+        smallest gap / hypot(gap, span) over the four sides."""
+        if isinstance(self.inner, Disk):
+            return float(np.sqrt(1.0 - (self.inner.radius / self.outer.radius) ** 2))
+        return float(min(gap / np.hypot(gap, span) for gap, span in self._sides()))
 
 
 class _EdgeTable(NamedTuple):
@@ -348,8 +335,6 @@ class Mesh2D:
 
 
 def _disk_ring_counts(inner: Disk, outer: Disk, h: float) -> tuple[int, int]:
-    if np.linalg.norm(inner.center - outer.center) > 1e-12:
-        raise GeometryError("structured disk meshes require concentric disks")
     k_in = max(1, round(inner.radius / h))
     d_in = inner.radius / k_in
     depth = outer.radius - inner.radius
@@ -438,14 +423,8 @@ def build_mesh(spec: GeometrySpec, h: float) -> Mesh2D:
     exactly by element edges and every triangle carries a region tag."""
     if h <= 0:
         raise GeometryError("mesh size must be positive")
-    if isinstance(spec.inner, Disk) and isinstance(spec.outer, Disk):
-        mesh = _build_disk_mesh(spec.inner, spec.outer, h)
-    elif isinstance(spec.inner, Rect) and isinstance(spec.outer, Rect):
-        mesh = _build_rect_mesh(spec.inner, spec.outer, h)
-    else:
-        raise GeometryError("structured meshing supports disk-in-disk and "
-                            "rectangle-in-rectangle layouts only")
-    return mesh.validate()
+    build = _build_disk_mesh if isinstance(spec.inner, Disk) else _build_rect_mesh
+    return build(spec.inner, spec.outer, h).validate()
 
 
 def uniform_refine(mesh: Mesh2D) -> Mesh2D:

@@ -265,6 +265,8 @@ def source_iteration(mesh: Mesh2D, coeffs: TransportCoefficients,
         raise ValueError(f"unknown boundary condition {bc!r}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     nd = ordinates.n_dirs
     nbe = mesh.boundary_edges.shape[0]
 

@@ -79,8 +79,8 @@ def extend_coefficients(mesh: Mesh2D, mu, kernel, source, a: float) -> Transport
     ``kernel`` is a Legendre eigenvalue list (scalar = isotropic), or a
     callable returning the isotropic eigenvalue per point.
     """
-    if a < 0:
-        raise ModelError("layer absorption must be nonnegative")
+    if not (np.isfinite(a) and a >= 0):
+        raise ModelError(f"layer absorption must be nonnegative and finite, got {a}")
     cent = mesh.centroids
     interior = mesh.tags == INTERIOR
 
@@ -95,6 +95,8 @@ def extend_coefficients(mesh: Mesh2D, mu, kernel, source, a: float) -> Transport
         sigma = sig0[:, None].copy()
     else:
         coeffs = np.atleast_1d(np.asarray(kernel, dtype=float))
+        if coeffs.size == 0:
+            raise ModelError("scattering kernel needs at least one Legendre coefficient")
         try:  # reuses the phase-function nonnegativity check
             scattering_eigenvalues(coeffs, build_basis(1))
         except ValueError as exc:

@@ -127,8 +127,6 @@ def _class_blocks(blocks: BlockOperator) -> list:
 class JacobiPreconditioner:
     """Inverse diagonal of the per-class blocks of S (:func:`_class_blocks`)."""
 
-    kind = JACOBI
-
     def __init__(self, blocks: BlockOperator):
         diag = np.empty((blocks.mesh.n_vertices, blocks.basis.n_plus))
         for cols, block in _class_blocks(blocks):
@@ -172,8 +170,6 @@ class BlockSpatialPreconditioner:
     sweeps (weight _OMEGA) before the coarse correction and as many after,
     so the cycle is a symmetric operator.  A mesh without a parent is a chain
     of one, where the cycle is the exact LU solve of the block."""
-
-    kind = BLOCK_SPATIAL
 
     def __init__(self, blocks: BlockOperator):
         self._shape = (blocks.mesh.n_vertices, blocks.basis.n_plus)
@@ -255,6 +251,8 @@ def pcg_solve(apply_s, rhs: np.ndarray, preconditioner=None, tol: float = 1e-7,
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if callable(getattr(apply_s, "apply", None)):
         matvec = apply_s.apply
     else:

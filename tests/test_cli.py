@@ -416,6 +416,18 @@ class TestMain:
         assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
         assert "disk radius must be positive" in capsys.readouterr().err
 
+    def test_non_concentric_disks_fail_fast(self, tmp_path, monkeypatch, capsys):
+        import pnpml.solver
+
+        def no_pcg(*args, **kwargs):
+            raise AssertionError("PCG must not start on an unmeshable layout")
+
+        monkeypatch.setattr(pnpml.solver, "pcg_solve", no_pcg)
+        path = self._write(tmp_path, EXAMPLE1.replace("geometry.inner = 0 0 1.0",
+                                                      "geometry.inner = 0.1 0 0.5"))
+        assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
+        assert "concentric" in capsys.readouterr().err
+
     def test_void_layer_fails_before_pcg(self, tmp_path, monkeypatch, capsys):
         # exp(-a l) = 1 leaves the layer without absorption, so its odd
         # collision entries are zero and the operator build rejects them

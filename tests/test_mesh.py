@@ -33,7 +33,23 @@ def rect_spec():
     return GeometrySpec(inner=Rect(0, 0, 7, 7), outer=Rect(-1, -1, 8, 8))
 
 
+def asymmetric_rect_spec():
+    return GeometrySpec(inner=Rect(1, 0.5, 3, 2), outer=Rect(0, 0, 5, 3))
+
+
 SMALL_MESHES = [(example1_spec(), 0.25), (rect_spec(), 1.0)]
+
+
+def dense_boundary(shape, m):
+    """Boundary samples and outward normals: 4m on a circle, or m + 1 per
+    rectangle side with both of its corners."""
+    pts, nrms = shape.boundary_points(4 * m)
+    if isinstance(shape, Disk):
+        return pts, nrms
+    # boundary_points starts side k at pts[k m] and leaves out its end corner,
+    # which is the start of side k + 1
+    return (np.vstack([pts, np.roll(pts[::m], -1, axis=0)]),
+            np.vstack([nrms, nrms[::m]]))
 
 
 def first_seen_edges(mesh):
@@ -72,6 +88,58 @@ class TestGeometrySpec:
     def test_containment_enforced(self):
         with pytest.raises(GeometryError):
             GeometrySpec(inner=Disk(0, 0, 1.0), outer=Disk(0.5, 0, 1.2))
+
+    @pytest.mark.parametrize("spec, ell, eta", [
+        (example1_spec(), 0.2, np.sqrt(1.2**2 - 1.0) / 1.2),
+        (rect_spec(), 1.0, 1.0 / np.sqrt(65.0)),
+        (asymmetric_rect_spec(), 0.5, 0.5 / np.hypot(0.5, 4.0)),
+    ], ids=["disk", "lattice", "asymmetric_rect"])
+    def test_closed_forms_match_brute_force_minima(self, spec, ell, eta):
+        assert spec.layer_depth == pytest.approx(ell, rel=1e-14)
+        assert spec.grazing_sine == pytest.approx(eta, rel=1e-14)
+        outer, outer_n = dense_boundary(spec.outer, 300)
+        inner, _ = dense_boundary(spec.inner, 300)
+        # depth: nearest outer-boundary point to the inner region
+        assert np.min(spec.inner.distance(outer)) == pytest.approx(spec.layer_depth, abs=1e-12)
+        # grazing sine: unit travel directions from inner to outer boundary
+        # points against the outer normal; the extremes leave the inner
+        # region from its boundary, at a corner or along a tangent
+        u = outer[:, None, :] - inner[None, :, :]
+        cos = np.sum(u * outer_n[:, None, :], axis=2) / np.linalg.norm(u, axis=2)
+        brute = cos.min()
+        assert brute >= spec.grazing_sine - 1e-12
+        # a sampled tangent misses the minimum at second order in the spacing
+        assert brute - spec.grazing_sine <= (1e-4 if isinstance(spec.inner, Disk) else 1e-12)
+
+    def test_rays_never_reach_the_boundary_below_the_grazing_sine(self):
+        spec = asymmetric_rect_spec()
+        pts, nrms = dense_boundary(spec.outer, 20)
+        angles = 2 * np.pi * np.arange(180) / 180
+        incidences = []
+        for r, n in zip(pts, nrms):
+            for ang in angles:
+                s = np.array([np.cos(ang), np.sin(ang), 0.0])
+                if s[:2] @ n > 0 and np.isfinite(ray_exit_distance(spec, r, s)):
+                    incidences.append(s[:2] @ n)
+        assert min(incidences) >= spec.grazing_sine - 1e-12
+        assert min(incidences) <= spec.grazing_sine + 0.02
+
+    @pytest.mark.parametrize("inner, outer", [
+        (Disk(0.5, 0.5, 0.25), Rect(0, 0, 1, 1)),
+        (Rect(-0.5, -0.5, 0.5, 0.5), Disk(0, 0, 1.2)),
+        (Disk(0.1, 0, 0.5), Disk(0, 0, 1.2)),
+        (Rect(0, 0, 1, 1), Rect(0, 0, 2, 2)),
+        (Disk(0, 0, 1.2), Disk(0, 0, 1.2)),
+        (Disk(np.nan, 0, 1.0), Disk(np.nan, 0, 1.2)),
+    ], ids=["disk_in_rect", "rect_in_disk", "non_concentric_disks",
+            "touching_rects", "equal_disks", "nan_centres"])
+    def test_unmeshable_layouts_rejected(self, inner, outer):
+        with pytest.raises(GeometryError):
+            GeometrySpec(inner=inner, outer=outer)
+
+    def test_nan_rect_rejected(self):
+        with pytest.raises(GeometryError):
+            Rect(0, 0, np.nan, 1)
 
 
 class TestBuildRect:

@@ -366,6 +366,18 @@ class TestSourceIteration:
             source_iteration(mesh, coeffs, build_ordinates(2, 4), VACUUM, tol=1e-6,
                              q=src, max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_tolerance_rejected(self, monkeypatch, tol):
+        import pnpml.oracle
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("no sweep may be built on a bad tolerance")
+
+        _, mesh, coeffs, src = disk_setup(h=0.5, mu=2.0, sig0=0.5, a=1.0)
+        monkeypatch.setattr(pnpml.oracle, "SweepOperator", no_sweep)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            source_iteration(mesh, coeffs, build_ordinates(2, 4), VACUUM, tol=tol, q=src)
+
     def test_contraction_rate(self):
         _, mesh, coeffs, src = disk_setup(h=0.25, mu=2.0, sig0=0.6, a=2.0)
         ords = build_ordinates(4, 8)

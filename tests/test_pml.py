@@ -76,6 +76,17 @@ class TestExtendCoefficients:
             extend_coefficients(mesh, -1.0, 0.0, 1.0, a=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_layer_absorption_rejected(self, bad):
+        mesh = build_mesh(example1_spec(), 0.1)
+        with pytest.raises(ModelError):
+            extend_coefficients(mesh, 10.1, 10.0, 1.0, a=bad)
+
+    def test_empty_kernel_rejected(self):
+        mesh = build_mesh(example1_spec(), 0.1)
+        with pytest.raises(ModelError):
+            extend_coefficients(mesh, 10.1, [], 1.0, a=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_source_rejected(self, bad):
         mesh = build_mesh(example1_spec(), 0.1)
         with pytest.raises(ModelError):

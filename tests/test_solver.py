@@ -160,6 +160,14 @@ class TestPCG:
         with pytest.raises(ValueError, match="max_iter"):
             pcg_solve(lambda v: v, np.ones(3), max_iter=0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_tolerance_rejected_before_any_matvec(self, tol):
+        def no_matvec(v):
+            raise AssertionError("no matvec may run on a bad tolerance")
+
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            pcg_solve(no_matvec, np.ones(3), tol=tol)
+
     def test_deterministic(self):
         _, _, blocks, qp, qm = small_instance()
         op = SchurOperator(blocks)
