@@ -10,11 +10,11 @@ modes.  The four system blocks are
   C: diagonal, |T| * w_l per (triangle, odd mode)
 
 with w_l = mu - sigma_l.  The weights depend on the degree only, and one
-table, ``BlockOperator.collision`` = [w_0 .. w_N], holds them.  Its columns
-key the coefficient classes ``BlockOperator.classes`` of the even degrees
-(with an isotropic kernel: {0} and every l >= 2); ``build_operator``
-assembles one mass block per class, and the mass products and both
-preconditioners run one block per class.
+table, ``BlockOperator.collision`` = [w_0 .. w_N], holds them.  Even degrees
+with bitwise equal columns (w_l, k_l) of it and of the diffusion table (see
+:meth:`BlockOperator.class_blocks`) share a coefficient class (isotropic
+kernel: {0} and every l >= 2); ``build_operator`` assembles one mass block per
+class, and the mass products and both preconditioners run one block per class.
 
 All operator applications are matrix-free over the Kronecker factors, on
 (space, mode) arrays in C order: a sparse spatial product, then a product with
@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, identity, kron
+from scipy.sparse import csr_matrix, diags, identity, kron, vstack
 
 from pnpml.angular import AngularBasis, AngularCouplings, degree_groups, quadrature_for_order
 from pnpml.mesh import INTERIOR, Mesh2D, boundary_mass_matrix
@@ -100,22 +100,15 @@ def gradient_matrices(mesh: Mesh2D) -> tuple[csr_matrix, csr_matrix]:
     return g_x, g_y
 
 
-def _coefficient_classes(w: np.ndarray, degrees: np.ndarray) -> list:
+def _coefficient_classes(w: np.ndarray, k: np.ndarray, degrees: np.ndarray) -> list:
     """(l, cols) per coefficient class of the even modes of degrees
-    ``degrees``: even degrees l > 0 with bitwise equal columns w_l and w_{l+1}
-    of the collision table ``w`` and with w_{l-1} = w_{l+1} form one class, led
-    by its lowest degree l, with the positions of all its modes in ``cols``.
-    The diffusion weight of degree l mixes w_{l-1} and w_{l+1} with factors of
-    l, which cancel only where the two are equal, so degree 0 and any degree
-    with w_{l-1} != w_{l+1} are classes of their own."""
-    def key(l):
-        above = w[:, l + 1].tobytes()
-        own = l if l == 0 or w[:, l - 1].tobytes() != above else None
-        return w[:, l].tobytes(), above, own
-
+    ``degrees``: even degrees with bitwise equal columns w_l of the collision
+    table ``w`` and k_l of the diffusion table ``k`` form one class, led by
+    its lowest degree l, with the positions of all its modes in ``cols``.
+    The two columns are all a class block depends on."""
     members = {}
     for l, cols in degree_groups(degrees):
-        members.setdefault(key(l), []).append((l, cols))
+        members.setdefault((w[:, l].tobytes(), k[:, l].tobytes()), []).append((l, cols))
     return [(group[0][0], np.concatenate([cols for _, cols in group]))
             for group in members.values()]
 
@@ -136,13 +129,19 @@ class BlockOperator:
 
     def __post_init__(self):
         """Form the odd diagonal ``c_diag`` = |T| w_l, shape (nt, n_minus),
-        reject it if singular, and group the even degrees into coefficient
-        classes (:func:`_coefficient_classes`)."""
+        reject it if singular, then form the diffusion table k (zero at odd
+        l) and the coefficient classes (:func:`_coefficient_classes`)."""
         self.c_diag = self.mesh.areas[:, None] * self.collision[:, self.basis.odd_degrees()]
         if np.any(self.c_diag == 0):
             raise NumericalError("odd collision block has zero diagonal entries; "
                                  "the elimination is singular")
-        self.classes = _coefficient_classes(self.collision, self.basis.even_degrees())
+        a = 1.0 / self.collision[:, 1::2]  # 1/w_{l+1} at l = 0, 2, .., N - 1
+        b = np.concatenate([a[:, :1], a[:, :-1]], axis=1)  # 1/w_{l-1}, a at l = 0
+        l = np.arange(0, self.collision.shape[1], 2)
+        self.diffusion = np.zeros_like(self.collision)
+        self.diffusion[:, ::2] = (a + l * (b - a) / (2 * l + 1)) / 3.0
+        self.classes = _coefficient_classes(self.collision, self.diffusion,
+                                            self.basis.even_degrees())
         # dense angular factors (55 x 45 at N = 9) keep B and B^T in C order
         self._t_dense = (self.t_x.toarray(), self.t_y.toarray())
 
@@ -176,6 +175,23 @@ class BlockOperator:
     def solve_odd_diag(self, v_odd: np.ndarray) -> np.ndarray:
         return v_odd / self.c_diag
 
+    def class_blocks(self) -> list:
+        """(cols, block) per coefficient class (l, cols): the mean over the
+        2l+1 orders of the diagonal blocks of S at degree l, the P_N diffusion
+        block M_l + R + G_x^T K_l G_x + G_y^T K_l G_y with, per triangle,
+
+            K_l = ((l+1)/c_{l+1} + l/c_{l-1}) / (3(2l+1)) = k_l / |T|,
+
+        c_l' = |T| w_l' (no c_{-1} term at l = 0): averaged over m, T_x and T_y
+        reach degrees l+1 and l-1 with these weights and do not mix x with y.
+        ``diffusion`` holds k_l = (a + l (b - a)/(2l+1)) / 3, a = 1/w_{l+1},
+        b = 1/w_{l-1} (b = a at l = 0): exactly a/3 where b = a.  The block
+        depends on w_l and k_l only, so it is that of every degree of its class."""
+        g = vstack([self.g_x, self.g_y], format="csr")
+        return [(cols, (self.mass_blocks[l] + self.boundary + g.T
+                        @ diags(np.tile(self.diffusion[:, l] / self.mesh.areas, 2)) @ g).tocsc())
+                for l, cols in self.classes]
+
     def restrict(self, sub_basis: AngularBasis) -> "BlockOperator":
         """The operator on a subset of the angular modes, such as one z-parity
         class (:meth:`AngularBasis.z_even`).  Mesh, mass blocks, boundary,
@@ -207,19 +223,19 @@ def build_operator(mesh: Mesh2D, basis: AngularBasis, couplings: AngularCoupling
     w = coeffs.collision(basis.order)
     if gamma > 0 and np.any(w[:, 1::2] <= 0):
         raise RuntimeError("internal error: nonpositive odd-block entry despite gamma > 0")
-    degrees = basis.even_degrees()
-    mass_blocks = {}
-    for l, cols in _coefficient_classes(w, degrees):
-        mass_blocks.update(dict.fromkeys(degrees[cols].tolist(), p1_mass(mesh, weight=w[:, l])))
     g_x, g_y = gradient_matrices(mesh)
-    return BlockOperator(
+    op = BlockOperator(
         mesh=mesh,
         basis=basis,
-        mass_blocks=mass_blocks,
+        mass_blocks={},
         boundary=boundary_mass_matrix(mesh),
         g_x=g_x, g_y=g_y, t_x=couplings.t_x, t_y=couplings.t_y,
         collision=w,
     )
+    degrees = basis.even_degrees()
+    for l, cols in op.classes:
+        op.mass_blocks.update(dict.fromkeys(degrees[cols].tolist(), p1_mass(mesh, weight=w[:, l])))
+    return op
 
 
 def project_source(mesh: Mesh2D, basis: AngularBasis, q,

@@ -40,6 +40,10 @@ __all__ = [
 INTERIOR = 0
 LAYER = 1
 
+# the most triangles a built or refined mesh may have, about 55 times the
+# largest mesh the benchmark solves (75,264); checked before allocation
+MAX_TRIANGLES = 2**22
+
 
 class GeometryError(ValueError):
     """Raised for degenerate or unsupported geometric configurations."""
@@ -52,6 +56,8 @@ class Disk:
     radius: float
 
     def __post_init__(self):
+        if not np.isfinite([self.cx, self.cy, self.radius]).all():
+            raise GeometryError(f"disk parameters must be finite, got {self}")
         if not self.radius > 0:
             raise GeometryError(f"disk radius must be positive, got {self.radius}")
 
@@ -92,8 +98,9 @@ class Rect:
     y1: float
 
     def __post_init__(self):
-        if not (self.x0 < self.x1 and self.y0 < self.y1):  # also trips on NaN
-            raise GeometryError("rectangle must have positive extents")
+        if not (np.isfinite([self.x0, self.y0, self.x1, self.y1]).all()
+                and self.x0 < self.x1 and self.y0 < self.y1):
+            raise GeometryError(f"rectangle needs finite x0 < x1 and y0 < y1, got {self}")
 
     def contains(self, p) -> np.ndarray:
         p = np.atleast_2d(p)
@@ -334,16 +341,15 @@ class Mesh2D:
         return self
 
 
-def _disk_ring_counts(inner: Disk, outer: Disk, h: float) -> tuple[int, int]:
-    k_in = max(1, round(inner.radius / h))
-    d_in = inner.radius / k_in
-    depth = outer.radius - inner.radius
-    k_lay = max(1, round(depth / d_in))
-    return k_in, k_lay
+def _check_size(n_triangles: int):
+    if n_triangles > MAX_TRIANGLES:
+        raise GeometryError(f"{n_triangles} triangles exceed MAX_TRIANGLES = {MAX_TRIANGLES}")
 
 
 def _build_disk_mesh(inner: Disk, outer: Disk, h: float) -> Mesh2D:
-    k_in, k_lay = _disk_ring_counts(inner, outer, h)
+    k_in = max(1, round(inner.radius / h))
+    k_lay = max(1, round((outer.radius - inner.radius) / (inner.radius / k_in)))
+    _check_size(6 * (k_in + k_lay) ** 2)  # ring i holds 6 (2i - 1) triangles
     radii = np.concatenate([
         np.linspace(0.0, inner.radius, k_in + 1),
         inner.radius + (outer.radius - inner.radius) * np.arange(1, k_lay + 1) / k_lay,
@@ -399,6 +405,7 @@ def _build_rect_mesh(inner: Rect, outer: Rect, h: float) -> Mesh2D:
         _check_aligned(val, h, what)
     nx = round((outer.x1 - outer.x0) / h)
     ny = round((outer.y1 - outer.y0) / h)
+    _check_size(2 * nx * ny)
 
     xs = outer.x0 + h * np.arange(nx + 1)
     ys = outer.y0 + h * np.arange(ny + 1)
@@ -420,9 +427,10 @@ def _build_rect_mesh(inner: Rect, outer: Rect, h: float) -> Mesh2D:
 
 def build_mesh(spec: GeometrySpec, h: float) -> Mesh2D:
     """Structured mesh of the extended domain; the inner boundary is resolved
-    exactly by element edges and every triangle carries a region tag."""
-    if h <= 0:
-        raise GeometryError("mesh size must be positive")
+    exactly by element edges and every triangle carries a region tag.  A mesh
+    of more than MAX_TRIANGLES triangles raises before it is allocated."""
+    if not (np.isfinite(h) and h > 0):
+        raise GeometryError(f"mesh size must be positive and finite, got {h}")
     build = _build_disk_mesh if isinstance(spec.inner, Disk) else _build_rect_mesh
     return build(spec.inner, spec.outer, h).validate()
 
@@ -433,6 +441,7 @@ def uniform_refine(mesh: Mesh2D) -> Mesh2D:
     edge k of the coarse edge table, and the central child of triangle t is
     child 4*t + 3, which keeps nested prolongation exact.  The fine mesh
     records ``mesh`` as its parent."""
+    _check_size(4 * mesh.n_triangles)
     a, b, c = mesh.triangles.T
     ab, bc, ca = (mesh.n_vertices + mesh._edges.tri_edges).T
     tris = np.column_stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca]).reshape(-1, 3)

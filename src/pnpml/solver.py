@@ -4,12 +4,12 @@ The odd unknowns are eliminated through the diagonal collision block, leaving
 the symmetric positive definite operator S = M + R + B^T C^{-1} B on the even
 unknowns.  S is applied matrix-free; the system is solved by preconditioned
 conjugate gradients.  Both preconditioners come from one block per
-coefficient class of even degrees (``BlockOperator.classes``): the mean over
-the 2l+1 orders m of the diagonal blocks of S at the class's lowest degree l,
-a P_N diffusion block.  ``jacobi`` inverts its diagonal.  ``block_spatial``
-approximates its inverse by one symmetric Galerkin V-cycle over the mesh's
-refinement chain, with one sparse LU per class on the coarsest mesh; on a
-mesh that was not refined the cycle is that exact LU solve.
+coefficient class, the even degrees with bitwise equal columns (w_l, k_l):
+the P_N diffusion block of :meth:`BlockOperator.class_blocks`.  ``jacobi``
+inverts its diagonal.  ``block_spatial`` approximates its inverse by one
+symmetric Galerkin V-cycle over the mesh's refinement chain, with one sparse
+LU per class on the coarsest mesh; on a mesh that was not refined the cycle
+is that exact LU solve.
 
 For z-invariant problems the system splits exactly into two independent
 z-parity classes (angular modes with l + |m| even or odd).  ``solve_system``
@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import diags, vstack
 from scipy.sparse.linalg import splu
 
 from pnpml.assembly import (
@@ -97,39 +96,12 @@ def recover_odd(blocks: BlockOperator, q_minus: np.ndarray, u_plus: np.ndarray) 
     return blocks.solve_odd_diag(q_minus - blocks.apply_transport(u_plus))
 
 
-def _class_blocks(blocks: BlockOperator) -> list:
-    """(positions, block) per coefficient class (l, cols) of
-    ``blocks.classes``, where the block is the mean over the 2l+1 orders of
-    the diagonal blocks of S at the class's lowest degree l, the P_N
-    diffusion block
-
-        M_l + R + G_x^T K_l G_x + G_y^T K_l G_y,
-        K_l = diag((l+1)/c_{l+1} + l/c_{l-1}) / (3(2l+1)),
-
-    with c_l' = |T| w_l' the odd collision column of degree l', read from the
-    table ``blocks.collision``: averaged over m, T_x and T_y reach degree l+1
-    and l-1 with these weights and do not mix x with y.  At l = 0 it is the P1 diffusion operator with
-    coefficient 1/(3(mu - sigma_1)).  The other degrees l' of a class share
-    M_l and c_{l'-1} = c_{l'+1} = c_{l+1}, where K_l' = 1/(3 c_{l+1}) for
-    every l', so their blocks differ only by rounding.
-    """
-    w = blocks.collision
-    inv_c = {l: 1.0 / (blocks.mesh.areas * w[:, l]) for l in range(1, w.shape[1], 2)}
-    g = vstack([blocks.g_x, blocks.g_y], format="csr")
-    out = []
-    for l, cols in blocks.classes:
-        k = ((l + 1) * inv_c[l + 1] + l * inv_c.get(l - 1, 0.0)) / (3.0 * (2 * l + 1))
-        block = blocks.mass_blocks[l] + blocks.boundary + g.T @ diags(np.tile(k, 2)) @ g
-        out.append((cols, block.tocsc()))
-    return out
-
-
 class JacobiPreconditioner:
-    """Inverse diagonal of the per-class blocks of S (:func:`_class_blocks`)."""
+    """Inverse diagonal of the class blocks of S (``blocks.class_blocks()``)."""
 
     def __init__(self, blocks: BlockOperator):
         diag = np.empty((blocks.mesh.n_vertices, blocks.basis.n_plus))
-        for cols, block in _class_blocks(blocks):
+        for cols, block in blocks.class_blocks():
             diag[:, cols] = block.diagonal()[:, None]
         if np.any(diag <= 0):
             raise NumericalError("nonpositive diagonal entry in the Schur operator")
@@ -160,7 +132,7 @@ def _v_cycle(levels: list, lu, b: np.ndarray) -> np.ndarray:
 
 
 class BlockSpatialPreconditioner:
-    """Multigrid solve of the per-class blocks of S (:func:`_class_blocks`).
+    """Multigrid solve of the class blocks of S (``blocks.class_blocks()``).
 
     Per coefficient class the block A is carried down the mesh's refinement
     chain (``Mesh2D.parent``) as the Galerkin product Pᵀ A P, with P the P1
@@ -179,7 +151,7 @@ class BlockSpatialPreconditioner:
             # Pᵀ stored as CSR: a transposed view costs more per product
             chain.append((mesh.prolongation, mesh.prolongation.T.tocsr()))
         self._cols, self._levels, self._solvers = [], [], []
-        for cols, block in _class_blocks(blocks):
+        for cols, block in blocks.class_blocks():
             levels = []
             for p, pt in chain:
                 block = block.tocsr()

@@ -351,6 +351,36 @@ class TestClasses:
         op = self.operator(7, [1.0, 0.02, 0.01, 0.01, 0.005, 0.02, 0.01, 0.01])
         assert class_degrees(op) == [(0, [0]), (2, [2]), (4, [4]), (6, [6])]
 
+    def test_pure_absorber_gives_one_z_even_class(self):
+        # every even degree has w_l = mu and k_l = 1/(3 mu): degree 0 joins the rest
+        op = self.operator(7, 0.0).restrict(build_basis(7).z_even())
+        assert class_degrees(op) == [(0, [0, 2, 4, 6])]
+
+    def test_diffusion_is_the_p_n_weight(self):
+        op = self.operator(7, [1.0, 0.3, 0.1])
+        w = op.collision
+        for l in range(0, 7, 2):
+            want = ((l + 1) / w[:, l + 1] + (l / w[:, l - 1] if l else 0.0)) / (3 * (2 * l + 1))
+            assert np.all(np.abs(op.diffusion[:, l] - want) <= 1e-15 * want)
+            if l == 0 or np.array_equal(w[:, l - 1], w[:, l + 1]):  # l = 0 and l = 4
+                assert op.diffusion[:, l].tobytes() == (1.0 / w[:, l + 1] / 3.0).tobytes()
+        assert not op.diffusion[:, 1::2].any()
+
+    def test_classes_formed_once_per_operator(self, monkeypatch):
+        _, mesh, coeffs, basis, coup = rect_setup(N=7, sig=[1.0, 0.3, 0.1])
+        classes, calls = pnpml.assembly._coefficient_classes, []
+
+        def counted(*args):
+            calls.append(args)
+            return classes(*args)
+
+        monkeypatch.setattr(pnpml.assembly, "_coefficient_classes", counted)
+        op = build_operator(mesh, basis, coup, coeffs)
+        assert len(calls) == 1
+        for sub_basis in (basis.z_even(), basis.z_odd()):
+            op.restrict(sub_basis)
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("kernel", [10.0, [1.0, 0.3, 0.1]], ids=["isotropic", "anisotropic"])
     @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])
     def test_classes_partition_the_even_columns(self, kernel, modes):

@@ -367,6 +367,27 @@ class TestMain:
             "physics.source = gaussian 0.75 0 5.0", "physics.source = constant nan"))
         assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
 
+    def test_oversized_mesh_fails_before_solving(self, tmp_path, capsys):
+        # about 1.5e8 triangles: refused before the mesh is allocated
+        path = self._write(tmp_path, EXAMPLE1.replace("geometry.outer = 0 0 1.2",
+                                                      "geometry.outer = 0 0 1000"))
+        assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
+        assert "MAX_TRIANGLES" in capsys.readouterr().err
+
+    def test_oversized_refinement_fails_before_solving(self, tmp_path, monkeypatch, capsys):
+        import pnpml.mesh
+        import pnpml.solver
+
+        def no_pcg(*args, **kwargs):
+            raise AssertionError("PCG must not start when the mesh chain is refused")
+
+        monkeypatch.setattr(pnpml.solver, "pcg_solve", no_pcg)
+        # a low cap keeps the levels refined before the refusal small
+        monkeypatch.setattr(pnpml.mesh, "MAX_TRIANGLES", 20_000)
+        path = self._write(tmp_path, EXAMPLE1.replace("disc.level = 0", "disc.level = 12"))
+        assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
+        assert "MAX_TRIANGLES" in capsys.readouterr().err
+
     @pytest.mark.parametrize("old, new, flags", [
         ("disc.n = 3", "disc.n = nan", []),
         ("disc.n = 3", "disc.n = 1e400", []),

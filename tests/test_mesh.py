@@ -1,6 +1,10 @@
+import time
+from functools import partial
+
 import numpy as np
 import pytest
 
+import pnpml.mesh
 from pnpml.cli import RunConfig, _ProblemCache
 from pnpml.mesh import (
     INTERIOR,
@@ -124,22 +128,31 @@ class TestGeometrySpec:
         assert min(incidences) >= spec.grazing_sine - 1e-12
         assert min(incidences) <= spec.grazing_sine + 0.02
 
+    # the shapes are built inside the check: a NaN disk already raises there
     @pytest.mark.parametrize("inner, outer", [
-        (Disk(0.5, 0.5, 0.25), Rect(0, 0, 1, 1)),
-        (Rect(-0.5, -0.5, 0.5, 0.5), Disk(0, 0, 1.2)),
-        (Disk(0.1, 0, 0.5), Disk(0, 0, 1.2)),
-        (Rect(0, 0, 1, 1), Rect(0, 0, 2, 2)),
-        (Disk(0, 0, 1.2), Disk(0, 0, 1.2)),
-        (Disk(np.nan, 0, 1.0), Disk(np.nan, 0, 1.2)),
+        (partial(Disk, 0.5, 0.5, 0.25), partial(Rect, 0, 0, 1, 1)),
+        (partial(Rect, -0.5, -0.5, 0.5, 0.5), partial(Disk, 0, 0, 1.2)),
+        (partial(Disk, 0.1, 0, 0.5), partial(Disk, 0, 0, 1.2)),
+        (partial(Rect, 0, 0, 1, 1), partial(Rect, 0, 0, 2, 2)),
+        (partial(Disk, 0, 0, 1.2), partial(Disk, 0, 0, 1.2)),
+        (partial(Disk, np.nan, 0, 1.0), partial(Disk, np.nan, 0, 1.2)),
     ], ids=["disk_in_rect", "rect_in_disk", "non_concentric_disks",
             "touching_rects", "equal_disks", "nan_centres"])
     def test_unmeshable_layouts_rejected(self, inner, outer):
         with pytest.raises(GeometryError):
-            GeometrySpec(inner=inner, outer=outer)
+            GeometrySpec(inner=inner(), outer=outer())
 
     def test_nan_rect_rejected(self):
         with pytest.raises(GeometryError):
             Rect(0, 0, np.nan, 1)
+
+    @pytest.mark.parametrize("shape, args", [
+        (Disk, (np.inf, 0, 1)), (Disk, (0, -np.inf, 1)), (Disk, (0, 0, np.inf)),
+        (Disk, (0, 0, np.nan)), (Rect, (-1, -1, np.inf, 2)), (Rect, (-np.inf, -1, 1, 2)),
+    ])
+    def test_non_finite_shape_rejected(self, shape, args):
+        with pytest.raises(GeometryError, match="finite"):
+            shape(*args)
 
 
 class TestBuildRect:
@@ -204,6 +217,42 @@ class TestBuildDisk:
                                 np.linalg.norm(c - b, axis=1),
                                 np.linalg.norm(a - c, axis=1)])
         assert edges.max() / edges.min() < 8.0
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize("spec, h", [
+        (GeometrySpec(inner=Disk(0, 0, 1), outer=Disk(0, 0, 1e6)), 0.5),
+        (GeometrySpec(inner=Rect(0, 0, 1, 1), outer=Rect(-1000, -1000, 1001, 1001)), 0.25),
+    ], ids=["disk", "rect"])
+    def test_oversized_layout_fails_fast(self, spec, h):
+        # about 2e13 and 1.3e8 triangles: refused before anything is allocated
+        t0 = time.perf_counter()
+        with pytest.raises(GeometryError, match="MAX_TRIANGLES"):
+            build_mesh(spec, h)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("h", [0.0, -0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("spec", [example1_spec(), rect_spec()], ids=["disk", "rect"])
+    def test_bad_mesh_size_rejected(self, spec, h):
+        # h = inf would give the rectangle an empty mesh that passes validate()
+        with pytest.raises(GeometryError, match="mesh size"):
+            build_mesh(spec, h)
+
+    @pytest.mark.parametrize("spec, h", SMALL_MESHES, ids=["disk", "rect"])
+    def test_predicted_count_is_the_built_count(self, spec, h, monkeypatch):
+        n = build_mesh(spec, h).n_triangles
+        monkeypatch.setattr(pnpml.mesh, "MAX_TRIANGLES", n)
+        assert build_mesh(spec, h).n_triangles == n
+        monkeypatch.setattr(pnpml.mesh, "MAX_TRIANGLES", n - 1)
+        with pytest.raises(GeometryError):
+            build_mesh(spec, h)
+
+    def test_refinement_beyond_the_cap_raises(self, monkeypatch):
+        mesh = build_mesh(example1_spec(), 0.25)
+        monkeypatch.setattr(pnpml.mesh, "MAX_TRIANGLES", 4 * mesh.n_triangles)
+        fine = uniform_refine(mesh)
+        with pytest.raises(GeometryError, match="MAX_TRIANGLES"):
+            uniform_refine(fine)
 
 
 class TestRefine:

@@ -8,6 +8,7 @@ from pnpml.angular import build_basis, coupling_matrices, degree_groups, quadrat
 from pnpml.assembly import (
     build_operator,
     explicit_matrices,
+    p1_mass,
     project_source,
 )
 from pnpml.mesh import Disk, GeometrySpec, Mesh2D, Rect, build_mesh, uniform_refine
@@ -20,7 +21,6 @@ from pnpml.solver import (
     JacobiPreconditioner,
     NumericalError,
     SchurOperator,
-    _class_blocks,
     build_preconditioner,
     galerkin_residuals,
     pcg_solve,
@@ -263,13 +263,28 @@ class TestPreconditioners:
                 for l, cols in degree_groups(basis.even_degrees())}
         sub_basis = basis if modes == "full" else getattr(basis, modes)()
         sub = blocks.restrict(sub_basis)
-        class_blocks = _class_blocks(sub)
+        class_blocks = sub.class_blocks()
         assert len(class_blocks) == len(sub.classes) > 0
         for (l, cols), (cols_b, block) in zip(sub.classes, class_blocks):
             assert np.array_equal(cols, cols_b)
             for degree in np.unique(sub.basis.even_degrees()[cols]):
                 assert (np.linalg.norm(block.toarray() - mean[degree])
                         <= 1e-12 * np.linalg.norm(mean[degree]))
+
+    @pytest.mark.parametrize("kernel", [1.0, [1.0, 0.3, 0.1], SPLIT_KERNEL],
+                             ids=["isotropic", "anisotropic", "split"])
+    def test_class_block_is_the_block_of_every_member_degree(self, kernel):
+        _, basis, blocks, _, _ = small_instance(7, kernel=kernel)
+        degrees = basis.even_degrees()
+        # every degree a class of its own, with a mass block of its own weight
+        per_degree = dataclasses.replace(blocks, mass_blocks={
+            l: p1_mass(blocks.mesh, weight=blocks.collision[:, l]) for l in np.unique(degrees)})
+        per_degree.classes = degree_groups(degrees)
+        own = {l: block.toarray() for (l, _), (_, block)
+               in zip(per_degree.classes, per_degree.class_blocks())}
+        for (_, cols), (_, block) in zip(blocks.classes, blocks.class_blocks()):
+            for degree in np.unique(degrees[cols]):
+                assert own[degree].tobytes() == block.toarray().tobytes()
 
     @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])
     def test_both_kinds_come_from_the_degree_blocks(self, modes):
@@ -278,7 +293,7 @@ class TestPreconditioners:
         shape = (sub.mesh.n_vertices, sub.basis.n_plus)
         jac = JacobiPreconditioner(sub)
         blk = BlockSpatialPreconditioner(sub)
-        class_blocks = _class_blocks(sub)
+        class_blocks = sub.class_blocks()
         # one LU per even degree of the class, not one per mode
         assert len(blk._solvers) == len(np.unique(sub.basis.even_degrees()))
         r = RNG.normal(size=sub.n_even)
@@ -348,7 +363,7 @@ class TestVCycle:
         shape = (flat.mesh.n_vertices, flat.basis.n_plus)
         r = RNG.normal(size=shape)
         z = BlockSpatialPreconditioner(flat).apply(r.ravel()).reshape(shape)
-        for cols, block in _class_blocks(flat):
+        for cols, block in flat.class_blocks():
             assert z[:, cols].tobytes() == splu(block).solve(r[:, cols]).tobytes()
 
     def test_merged_class_matches_the_per_degree_lu(self):
@@ -364,7 +379,27 @@ class TestVCycle:
         r = RNG.normal(size=shape)
         z = BlockSpatialPreconditioner(flat).apply(r.ravel()).reshape(shape)
         want = np.empty(shape)
-        for cols, block in _class_blocks(per_degree):
+        for cols, block in per_degree.class_blocks():
+            want[:, cols] = splu(block).solve(r[:, cols])
+        assert np.linalg.norm(z - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_pure_absorber_needs_one_lu(self):
+        # kernel 0: the z-even degrees 0, 2 and 4 form one class with one LU,
+        # and each degree's own block gives the same solution
+        _, basis, blocks, _, _ = desk_instance(h=0.2, N=5, sig=0.0)
+        flat = without_chain(blocks).restrict(basis.z_even())
+        degrees = flat.basis.even_degrees()
+        assert [(l, np.unique(degrees[cols]).tolist()) for l, cols in flat.classes] == [
+            (0, [0, 2, 4])]
+        pre = BlockSpatialPreconditioner(flat)
+        assert len(pre._solvers) == 1
+        per_degree = dataclasses.replace(flat)
+        per_degree.classes = degree_groups(degrees)
+        shape = (flat.mesh.n_vertices, flat.basis.n_plus)
+        r = RNG.normal(size=shape)
+        z = pre.apply(r.ravel()).reshape(shape)
+        want = np.empty(shape)
+        for cols, block in per_degree.class_blocks():
             want[:, cols] = splu(block).solve(r[:, cols])
         assert np.linalg.norm(z - want) <= 1e-14 * np.linalg.norm(want)
 
