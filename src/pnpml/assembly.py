@@ -16,19 +16,22 @@ with bitwise equal columns (w_l, k_l) of it and of the diffusion table (see
 kernel: {0} and every l >= 2); ``build_operator`` assembles one mass block per
 class, and the mass products and both preconditioners run one block per class.
 
-All operator applications are matrix-free over the Kronecker factors, on
-(space, mode) arrays in C order: a sparse spatial product, then a product with
-a dense copy of T_i.  Explicit sparse assembly exists for small-instance
-verification only.
+Spatial matrices are assembled on the mesh's one P1 pattern
+(:meth:`Mesh2D.assemble`): the mass blocks, the class blocks and the terms
+G_i^T D G_j of the Schur operator PCG applies.  B, B^T and C^{-1} serve the
+right-hand side, odd recovery, norms and residuals, matrix-free on (space,
+mode) arrays in C order: a sparse spatial product, then a product with a
+dense copy of T_i.  Explicit sparse assembly is for small-instance tests.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, identity, kron, vstack
+from scipy.sparse import csr_matrix, diags, identity, kron
 
 from pnpml.angular import AngularBasis, AngularCouplings, degree_groups, quadrature_for_order
 from pnpml.mesh import INTERIOR, Mesh2D, boundary_mass_matrix
@@ -42,6 +45,7 @@ __all__ = [
     "build_operator",
     "explicit_matrices",
     "p1_mass",
+    "p1_stiffness",
     "even_l2_norm2",
     "odd_l2_norm2",
     "transport_seminorm2",
@@ -71,41 +75,41 @@ class Field:
 def p1_mass(mesh: Mesh2D, weight: np.ndarray | None = None,
             triangles: np.ndarray | None = None) -> csr_matrix:
     """Exact P1 mass matrix with a piecewise-constant weight, optionally
-    restricted to a subset of triangles."""
-    tri_ids = np.arange(mesh.n_triangles) if triangles is None else triangles
-    tris = mesh.triangles[tri_ids]
-    areas = mesh.areas[tri_ids]
-    w = areas if weight is None else areas * weight[tri_ids]
-
-    local = _LOCAL_MASS.ravel()
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    vals = np.outer(w, local).ravel()
-    nv = mesh.n_vertices
-    return csr_matrix((vals, (rows, cols)), shape=(nv, nv))
+    restricted to a subset of triangles, on the mesh's P1 pattern."""
+    tri = slice(None) if triangles is None else triangles
+    w = mesh.areas[tri] if weight is None else mesh.areas[tri] * weight[tri]
+    return mesh.assemble(w[:, None, None] * _LOCAL_MASS, triangles)
 
 
 def gradient_matrices(mesh: Mesh2D) -> tuple[csr_matrix, csr_matrix]:
     """Sparse (n_triangles, n_vertices) maps with entries |T| * d_i(phi_j):
-    integrals of P1 gradients against the P0 indicator of each triangle."""
-    # integral of the gradient of phi_j over T: the opposite edge (edge j + 1,
-    # corner j + 1 to j + 2) turned a quarter counterclockwise and halved
-    ex, ey = mesh._corners[:, 2:, [1, 2, 0]].transpose(1, 0, 2)
-    gx, gy = -0.5 * ey, 0.5 * ex
+    integrals of P1 gradients against the P0 indicator of each triangle
+    (:attr:`Mesh2D.gradients`)."""
     rows = np.repeat(np.arange(mesh.n_triangles), 3)
     cols = mesh.triangles.ravel()
     shape = (mesh.n_triangles, mesh.n_vertices)
-    g_x = csr_matrix((gx.ravel(), (rows, cols)), shape=shape)
-    g_y = csr_matrix((gy.ravel(), (rows, cols)), shape=shape)
+    g_x, g_y = (csr_matrix((g.ravel(), (rows, cols)), shape=shape) for g in mesh.gradients)
     return g_x, g_y
 
 
+def p1_stiffness(mesh: Mesh2D, weight: np.ndarray, pairs=((0, 0), (1, 1))) -> csr_matrix:
+    """The sum over (i, j) in ``pairs`` (0 = x, 1 = y) of G_i^T diag(weight) G_j,
+    G_i of :func:`gradient_matrices`, on the mesh's P1 pattern.  Each entry
+    sums its triangles pair by pair, in the order of the sparse products."""
+    g = mesh.gradients
+    local = np.empty((len(pairs), mesh.n_triangles, 3, 3))
+    for out, (i, j) in zip(local, pairs):
+        np.multiply((g[i] * weight[:, None])[:, :, None], g[j][:, None, :], out=out)
+    return mesh.assemble(local)
+
+
 def _coefficient_classes(w: np.ndarray, k: np.ndarray, degrees: np.ndarray) -> list:
-    """(l, cols) per coefficient class of the even modes of degrees
-    ``degrees``: even degrees with bitwise equal columns w_l of the collision
-    table ``w`` and k_l of the diffusion table ``k`` form one class, led by
-    its lowest degree l, with the positions of all its modes in ``cols``.
-    The two columns are all a class block depends on."""
+    """(l, cols) per coefficient class of the modes of degrees ``degrees``:
+    degrees with bitwise equal columns w_l of the collision table ``w`` and
+    k_l of the diffusion table ``k`` form one class, led by its lowest degree
+    l, with the positions of all its modes in ``cols``.  The two columns are
+    all a class block depends on; at odd l, where k_l = 0, the class shares
+    the odd diagonal |T| w_l."""
     members = {}
     for l, cols in degree_groups(degrees):
         members.setdefault((w[:, l].tobytes(), k[:, l].tobytes()), []).append((l, cols))
@@ -187,19 +191,23 @@ class BlockOperator:
         ``diffusion`` holds k_l = (a + l (b - a)/(2l+1)) / 3, a = 1/w_{l+1},
         b = 1/w_{l-1} (b = a at l = 0): exactly a/3 where b = a.  The block
         depends on w_l and k_l only, so it is that of every degree of its class."""
-        g = vstack([self.g_x, self.g_y], format="csr")
-        return [(cols, (self.mass_blocks[l] + self.boundary + g.T
-                        @ diags(np.tile(self.diffusion[:, l] / self.mesh.areas, 2)) @ g).tocsc())
+        return [(cols, (self.mass_blocks[l] + self.boundary + p1_stiffness(
+                    self.mesh, self.diffusion[:, l] / self.mesh.areas)).tocsc())
                 for l, cols in self.classes]
 
     def restrict(self, sub_basis: AngularBasis) -> "BlockOperator":
         """The operator on a subset of the angular modes, such as one z-parity
         class (:meth:`AngularBasis.z_even`).  Mesh, mass blocks, boundary,
-        gradient factors and collision table are shared; the rows and columns
-        of T_x and T_y are sliced."""
+        gradient factors, collision and diffusion tables are shared; the rows
+        and columns of T_x and T_y and the columns of ``c_diag`` are sliced,
+        and only the classes are formed anew."""
         even, odd = self.basis.positions(sub_basis)
-        return replace(self, basis=sub_basis,
-                       t_x=self.t_x[odd][:, even], t_y=self.t_y[odd][:, even])
+        sub = copy(self)
+        sub.basis, sub.c_diag = sub_basis, self.c_diag[:, odd]
+        sub.t_x, sub.t_y = self.t_x[odd][:, even], self.t_y[odd][:, even]
+        sub._t_dense = tuple(t[odd][:, even] for t in self._t_dense)
+        sub.classes = _coefficient_classes(self.collision, self.diffusion, sub_basis.even_degrees())
+        return sub
 
     def nnz_counts(self) -> dict[str, int]:
         """Stored entries of each block in assembled (Kronecker) form."""

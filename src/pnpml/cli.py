@@ -36,6 +36,7 @@ from pnpml.mesh import (
     GeometrySpec,
     Mesh2D,
     Rect,
+    _check_size,
     build_mesh,
     p0_prolong,
     p1_prolong,
@@ -260,6 +261,8 @@ class _ProblemCache:
             self.angular[n] = (basis, coupling_matrices(basis, quadrature_for_order(n)))
         try:
             self.meshes = [build_mesh(self.spec, cfg.get_float("disc.base_h"))]
+            # level k holds 4**k times the base triangles: refuse before refining
+            _check_size(self.meshes[0].n_triangles * 4 ** max(levels))
         except GeometryError as exc:
             raise ConfigError(str(exc)) from exc
         for _ in range(max(levels)):

@@ -251,6 +251,13 @@ class Mesh2D:
         return np.column_stack([x[:, 0] + x[:, 1] + x[:, 2], y[:, 0] + y[:, 1] + y[:, 2]]) / 3.0
 
     @cached_property
+    def gradients(self) -> np.ndarray:
+        """|T| d_i(phi_a), i = x, y, of the basis function of each corner a,
+        (2, nt, 3): the opposite edge turned a quarter counterclockwise, halved."""
+        ex, ey = self._corners[:, 2:, [1, 2, 0]].transpose(1, 0, 2)
+        return np.ascontiguousarray([-0.5 * ey, 0.5 * ex])
+
+    @cached_property
     def _edges(self) -> _EdgeTable:
         """The edge table, built on first use."""
         starts = self.triangles.ravel()
@@ -264,6 +271,38 @@ class Mesh2D:
         first = first[order]
         return _EdgeTable(ends=np.column_stack([starts[first], ends[first]]), first=first,
                           counts=counts[order], tri_edges=rank[inverse].reshape(-1, 3))
+
+    @cached_property
+    def _pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The P1 pattern, each vertex with itself and the ends of each edge
+        with each other: CSR indptr and indices (32-bit, as scipy keeps them,
+        so matrices share them) and the position of the nine local pairs
+        (t[a], t[b]) of each triangle t, (nt, 9) row-major."""
+        nv, ends, tri_edges = self.n_vertices, self._edges.ends, self._edges.tri_edges
+        rows = np.concatenate([np.arange(nv), ends[:, 0], ends[:, 1]])
+        cols = np.concatenate([np.arange(nv), ends[:, 1], ends[:, 0]])
+        order = np.argsort(rows * nv + cols)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        # local edge k is table edge e: (t[k], t[k+1]) is entry nv + e where the
+        # table stores e starting at t[k], else its reverse nv + ne + e
+        own = ends[tri_edges, 0] == self.triangles
+        fwd, bwd = nv + tri_edges + len(ends) * ~own, nv + tri_edges + len(ends) * own
+        t = self.triangles
+        scatter = rank[np.column_stack([t[:, 0], fwd[:, 0], bwd[:, 2], bwd[:, 0], t[:, 1],
+                                        fwd[:, 1], fwd[:, 2], bwd[:, 1], t[:, 2]])]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nv))])
+        return indptr.astype(np.int32), cols[order].astype(np.int32), scatter
+
+    def assemble(self, local: np.ndarray, triangles: np.ndarray | None = None) -> csr_matrix:
+        """The CSR matrix on the P1 pattern summing local values (k, 3, 3) of
+        ``triangles`` (default all), entry (a, b) at (t[a], t[b]); a stack
+        (s, k, 3, 3) of them adds in stack order."""
+        indptr, indices, scatter = self._pattern
+        scatter = scatter if triangles is None else scatter[triangles]
+        scatter = np.broadcast_to(scatter, (local.size // scatter.size, *scatter.shape))
+        data = np.bincount(scatter.ravel(), weights=local.ravel(), minlength=indices.size)
+        return csr_matrix((data, indices, indptr), shape=(self.n_vertices,) * 2)
 
     @cached_property
     def prolongation(self) -> csr_matrix:

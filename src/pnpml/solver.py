@@ -2,14 +2,16 @@
 
 The odd unknowns are eliminated through the diagonal collision block, leaving
 the symmetric positive definite operator S = M + R + B^T C^{-1} B on the even
-unknowns.  S is applied matrix-free; the system is solved by preconditioned
-conjugate gradients.  Both preconditioners come from one block per
-coefficient class, the even degrees with bitwise equal columns (w_l, k_l):
-the P_N diffusion block of :meth:`BlockOperator.class_blocks`.  ``jacobi``
-inverts its diagonal.  ``block_spatial`` approximates its inverse by one
-symmetric Galerkin V-cycle over the mesh's refinement chain, with one sparse
-LU per class on the coarsest mesh; on a mesh that was not refined the cycle
-is that exact LU solve.
+unknowns.  PCG applies S as a sum of Kronecker terms A kron W
+(:class:`SchurOperator`), each A on the mesh's one P1 pattern and each W a
+small dense angular matrix; B, B^T and C^{-1} serve the right-hand side, the
+odd recovery, the norms and the residuals.  Both preconditioners come from
+one block per coefficient class, the even degrees with bitwise equal columns
+(w_l, k_l): the P_N diffusion block of :meth:`BlockOperator.class_blocks`.
+``jacobi`` inverts its diagonal.  ``block_spatial`` approximates its inverse
+by one symmetric Galerkin V-cycle over the mesh's refinement chain, with one
+sparse LU per class on the coarsest mesh; on a mesh that was not refined the
+cycle is that exact LU solve.
 
 For z-invariant problems the system splits exactly into two independent
 z-parity classes (angular modes with l + |m| even or odd).  ``solve_system``
@@ -29,8 +31,10 @@ from pnpml.assembly import (
     BlockOperator,
     Field,
     NumericalError,
+    _coefficient_classes,
     even_l2_norm2,
     odd_l2_norm2,
+    p1_stiffness,
     transport_seminorm2,
 )
 
@@ -66,22 +70,37 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class SchurOperator:
-    """Matrix-free S = M + R + B^T C^{-1} B on flattened even vectors."""
+    """S = M + R + B^T C^{-1} B on flattened even vectors, as terms A kron W
+    applied to (space, mode) arrays as A u W: (M_c + R) kron E_c, a column
+    gather, per even class c, and (G_i^T D_k G_j) kron (T_j^T P_k T_i) for
+    i, j in {x, y} per odd class k, with P_k its mode selector and
+    D_k = diag(1 / (|T| w_k)) its block of C^{-1}; each A on the P1 pattern."""
 
     blocks: BlockOperator
+
+    def __post_init__(self):
+        b = self.blocks
+        self._mass = [(cols, b.mass_blocks[l] + b.boundary) for l, cols in b.classes]
+        self._terms = []
+        for _, cols in _coefficient_classes(b.collision, b.diffusion, b.basis.odd_degrees()):
+            d = 1.0 / b.c_diag[:, cols[0]]
+            t_x, t_y = b.t_x[cols].toarray(), b.t_y[cols].toarray()
+            a_xy = p1_stiffness(b.mesh, d, [(0, 1)])  # G_y^T D G_x is its transpose
+            self._terms += [(p1_stiffness(b.mesh, d, [(0, 0)]), t_x.T @ t_x),
+                            (p1_stiffness(b.mesh, d, [(1, 1)]), t_y.T @ t_y),
+                            (a_xy, t_y.T @ t_x), (a_xy.T, t_x.T @ t_y)]
 
     @property
     def n(self) -> int:
         return self.blocks.n_even
 
-    def _unflatten(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(self.blocks.mesh.n_vertices, self.blocks.basis.n_plus)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
-        u = self._unflatten(x)
-        b = self.blocks
-        bu = b.apply_transport(u)
-        out = b.apply_mass(u) + b.apply_boundary(u) + b.apply_transport_t(b.solve_odd_diag(bu))
+        u = x.reshape(self.blocks.mesh.n_vertices, self.blocks.basis.n_plus)
+        out = np.empty_like(u)
+        for cols, a in self._mass:
+            out[:, cols] = a @ u[:, cols]
+        for a, w in self._terms:
+            out += a @ (u @ w)
         return out.ravel()
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.sparse import kron
+from scipy.sparse import csr_matrix, diags, kron, vstack
 
 from pnpml.angular import build_basis, coupling_matrices, degree_groups, quadrature_for_order
 import pnpml.assembly
@@ -12,6 +12,7 @@ from pnpml.assembly import (
     gradient_matrices,
     odd_l2_norm2,
     p1_mass,
+    p1_stiffness,
     project_source,
     transport_seminorm2,
 )
@@ -317,6 +318,65 @@ class TestRestrict:
             counts = sub.nnz_counts()
             assert counts["mass"] == explicit_matrices(sub)[0].nnz
             assert counts["odd"] == mesh.n_triangles * sub_basis.n_minus
+
+
+def coo_mass(mesh, weight=None, triangles=None):
+    """The P1 mass matrix summed from COO triplets, the reference form."""
+    tri = np.arange(mesh.n_triangles) if triangles is None else triangles
+    w = mesh.areas[tri] * (1.0 if weight is None else weight[tri])
+    t = mesh.triangles[tri]
+    vals = np.outer(w, np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]]).ravel() / 12.0)
+    return csr_matrix((vals.ravel(), (np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel())),
+                      shape=(mesh.n_vertices,) * 2)
+
+
+class TestPattern:
+    @pytest.mark.parametrize("setup", [rect_setup, disk_setup], ids=["rect", "disk"])
+    def test_scatter_names_each_local_pair(self, setup):
+        mesh = setup()[1]
+        indptr, indices, scatter = mesh._pattern
+        rows = np.repeat(np.arange(mesh.n_vertices), np.diff(indptr))
+        t = mesh.triangles
+        assert np.array_equal(rows[scatter], np.repeat(t, 3, axis=1))
+        assert np.array_equal(indices[scatter], np.tile(t, (1, 3)))
+        # canonical CSR, and every entry is the pair of some triangle
+        assert np.all(np.diff(rows * mesh.n_vertices + indices) > 0)
+        assert np.array_equal(np.unique(scatter), np.arange(indices.size))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_mass_matches_the_coo_form(self, weighted, subset):
+        _, mesh, _, _, _ = disk_setup()
+        weight = RNG.uniform(0.5, 2.0, mesh.n_triangles) if weighted else None
+        tri = np.flatnonzero(mesh.tags == INTERIOR) if subset else None
+        got = p1_mass(mesh, weight=weight, triangles=tri).toarray()
+        want = coo_mass(mesh, weight, tri).toarray()
+        # positive terms summed in another order: within 4 ulp per entry
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+
+    @pytest.mark.parametrize("pairs", [((0, 0), (1, 1)), ((0, 1),), ((1, 0),)])
+    def test_stiffness_is_bitwise_the_sparse_products(self, pairs):
+        _, mesh, _, _, _ = disk_setup()
+        weight = RNG.uniform(0.5, 2.0, mesh.n_triangles)
+        g = gradient_matrices(mesh)
+        # one product sums all pairs of a triangle entry, pair by pair
+        left = vstack([g[i] for i, _ in pairs], format="csr")
+        right = vstack([g[j] for _, j in pairs], format="csr")
+        want = left.T @ diags(np.tile(weight, len(pairs))) @ right
+        assert p1_stiffness(mesh, weight, pairs).toarray().tobytes() == want.toarray().tobytes()
+
+    @pytest.mark.parametrize("modes", ["full", "z_even"])
+    def test_class_blocks_are_bitwise_the_sparse_products(self, modes):
+        _, mesh, coeffs, basis, coup = rect_setup(N=5, sig=[1.0, 0.3, 0.1])
+        op = build_operator(mesh, basis, coup, coeffs)
+        if modes != "full":
+            op = op.restrict(getattr(basis, modes)())
+        g = vstack([op.g_x, op.g_y], format="csr")
+        for (l, cols), (cols_b, block) in zip(op.classes, op.class_blocks()):
+            k = diags(np.tile(op.diffusion[:, l] / mesh.areas, 2))
+            want = op.mass_blocks[l] + op.boundary + g.T @ k @ g
+            assert np.array_equal(cols, cols_b)
+            assert block.toarray().tobytes() == want.toarray().tobytes()
 
 
 # degrees 5, 6 and 7 repeat the weights of degrees 1, 2 and 3

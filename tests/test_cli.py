@@ -388,6 +388,18 @@ class TestMain:
         assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
         assert "MAX_TRIANGLES" in capsys.readouterr().err
 
+    def test_oversized_chain_refused_before_any_refinement(self, tmp_path, monkeypatch, capsys):
+        import pnpml.cli
+
+        def no_refine(mesh):
+            raise AssertionError("no level may be refined when the chain is refused")
+
+        # level 12 holds 4**12 times the base triangles, known from the base mesh
+        monkeypatch.setattr(pnpml.cli, "uniform_refine", no_refine)
+        path = self._write(tmp_path, EXAMPLE1.replace("disc.level = 0", "disc.level = 12"))
+        assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
+        assert "MAX_TRIANGLES" in capsys.readouterr().err
+
     @pytest.mark.parametrize("old, new, flags", [
         ("disc.n = 3", "disc.n = nan", []),
         ("disc.n = 3", "disc.n = 1e400", []),

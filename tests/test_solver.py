@@ -6,6 +6,7 @@ from scipy.sparse.linalg import splu
 
 from pnpml.angular import build_basis, coupling_matrices, degree_groups, quadrature_for_order
 from pnpml.assembly import (
+    _coefficient_classes,
     build_operator,
     explicit_matrices,
     p1_mass,
@@ -90,6 +91,28 @@ class TestSchurApply:
             x = RNG.normal(size=op.n)
             assert np.allclose(op.apply(x), s_dense @ x,
                                atol=1e-12 * np.linalg.norm(s_dense @ x, np.inf) + 1e-13)
+
+    @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])
+    def test_several_classes_match_dense_oracle(self, modes):
+        # kernel 10 3 1 at N = 5: even classes {0}, {2}, {4}, odd classes {1}, {3, 5}
+        spec = GeometrySpec(inner=Rect(0, 0, 1, 1), outer=Rect(-1, -1, 2, 2))
+        mesh = build_mesh(spec, 1.0)
+        basis = build_basis(5)
+        coup = coupling_matrices(basis, quadrature_for_order(5))
+        coeffs = extend_coefficients(mesh, 10.1, [10.0, 3.0, 1.0], 1.0, a=1.5)
+        blocks = build_operator(mesh, basis, coup, coeffs)
+        assert [l for l, _ in blocks.classes] == [0, 2, 4]
+        odd = _coefficient_classes(blocks.collision, blocks.diffusion, basis.odd_degrees())
+        assert [sorted(set(basis.odd_degrees()[c].tolist())) for _, c in odd] == [[1], [3, 5]]
+        sub = blocks if modes == "full" else blocks.restrict(getattr(basis, modes)())
+        m_e, r_e, b_e, c_e = explicit_matrices(sub)
+        s_dense = ((m_e + r_e).toarray()
+                   + b_e.T.toarray() @ np.diag(1.0 / c_e.diagonal()) @ b_e.toarray())
+        op = SchurOperator(sub)
+        for _ in range(5):
+            x = RNG.normal(size=op.n)
+            want = s_dense @ x
+            assert np.linalg.norm(op.apply(x) - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_singular_odd_block_raises(self):
         mesh, basis, blocks, qp, qm = small_instance()
