@@ -294,15 +294,37 @@ class Mesh2D:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nv))])
         return indptr.astype(np.int32), cols[order].astype(np.int32), scatter
 
+    @cached_property
+    def _boundary_scatter(self) -> np.ndarray:
+        """The position on the P1 pattern of the local pairs (a, a), (a, b),
+        (b, a), (b, b) of each boundary edge (a, b), (nb, 4): read from the
+        scatter of the one triangle t that holds it, where it is local edge
+        k = (t[k], t[k+1])."""
+        first = self._edges.first[self._edges.counts == 1]
+        t, k = first // 3, first % 3
+        k1 = (k + 1) % 3
+        return self._pattern[2][t[:, None], np.column_stack([4 * k, 3 * k + k1, 3 * k1 + k, 4 * k1])]
+
+    def _on_pattern(self, scatter: np.ndarray, local: np.ndarray) -> csr_matrix:
+        """The CSR matrix on the P1 pattern summing ``local`` values at the
+        pattern positions ``scatter``; a stack of them adds in stack order."""
+        indptr, indices, _ = self._pattern
+        scatter = np.broadcast_to(scatter, (local.size // scatter.size, *scatter.shape))
+        data = np.bincount(scatter.ravel(), weights=local.ravel(), minlength=indices.size)
+        return csr_matrix((data, indices, indptr), shape=(self.n_vertices,) * 2)
+
     def assemble(self, local: np.ndarray, triangles: np.ndarray | None = None) -> csr_matrix:
         """The CSR matrix on the P1 pattern summing local values (k, 3, 3) of
         ``triangles`` (default all), entry (a, b) at (t[a], t[b]); a stack
         (s, k, 3, 3) of them adds in stack order."""
-        indptr, indices, scatter = self._pattern
-        scatter = scatter if triangles is None else scatter[triangles]
-        scatter = np.broadcast_to(scatter, (local.size // scatter.size, *scatter.shape))
-        data = np.bincount(scatter.ravel(), weights=local.ravel(), minlength=indices.size)
-        return csr_matrix((data, indices, indptr), shape=(self.n_vertices,) * 2)
+        scatter = self._pattern[2]
+        return self._on_pattern(scatter if triangles is None else scatter[triangles], local)
+
+    def assemble_boundary(self, local: np.ndarray) -> csr_matrix:
+        """The CSR matrix on the P1 pattern summing local values (nb, 2, 2) of
+        the boundary edges (:attr:`boundary_edges`), entry (a, b) at
+        (e[a], e[b]) of edge e."""
+        return self._on_pattern(self._boundary_scatter, local)
 
     @cached_property
     def prolongation(self) -> csr_matrix:
@@ -522,14 +544,13 @@ def edge_local_mass(length) -> np.ndarray:
 
 
 def boundary_mass_matrix(mesh: Mesh2D) -> csr_matrix:
-    """P1 mass matrix over the outer boundary curve; rows and columns of
-    interior vertices are identically zero."""
-    be = mesh.boundary_edges
-    rows = np.repeat(be, 2, axis=1).ravel()   # a, a, b, b
-    cols = np.tile(be, (1, 2)).ravel()        # a, b, a, b
-    vals = edge_local_mass(mesh.boundary_lengths).ravel()
-    nv = mesh.n_vertices
-    return csr_matrix((vals, (rows, cols)), shape=(nv, nv))
+    """P1 mass matrix over the outer boundary curve, stored at the boundary
+    pairs only; rows and columns of interior vertices are identically zero."""
+    # a copy, since eliminate_zeros prunes in place the index arrays that
+    # matrices on the pattern share; every boundary entry is positive
+    r = mesh.assemble_boundary(edge_local_mass(mesh.boundary_lengths)).copy()
+    r.eliminate_zeros()
+    return r
 
 
 def submesh_interior(mesh: Mesh2D) -> tuple[Mesh2D, np.ndarray, np.ndarray]:

@@ -2,16 +2,18 @@
 
 The odd unknowns are eliminated through the diagonal collision block, leaving
 the symmetric positive definite operator S = M + R + B^T C^{-1} B on the even
-unknowns.  PCG applies S as a sum of Kronecker terms A kron W
-(:class:`SchurOperator`), each A on the mesh's one P1 pattern and each W a
-small dense angular matrix; B, B^T and C^{-1} serve the right-hand side, the
-odd recovery, the norms and the residuals.  Both preconditioners come from
-one block per coefficient class, the even degrees with bitwise equal columns
-(w_l, k_l): the P_N diffusion block of :meth:`BlockOperator.class_blocks`.
-``jacobi`` inverts its diagonal.  ``block_spatial`` approximates its inverse
-by one symmetric Galerkin V-cycle over the mesh's refinement chain, with one
-sparse LU per class on the coarsest mesh; on a mesh that was not refined the
-cycle is that exact LU solve.
+unknowns.  PCG applies S as a sum of K Kronecker terms A_t kron W_t
+(:class:`SchurOperator`), each A_t on the mesh's one P1 pattern and each W_t
+a small dense angular matrix, stacked so that one apply is one GEMM and one
+sparse product (K = 4 for an isotropic kernel); B, B^T and C^{-1} serve the
+right-hand side, the odd recovery, the norms and the residuals.  Both
+preconditioners come from one block per coefficient class, the even degrees
+with bitwise equal columns (w_l, k_l): the P_N diffusion block of
+:meth:`BlockOperator.class_blocks`.  ``jacobi`` inverts its diagonal, summed
+per vertex without forming the block.  ``block_spatial`` approximates its
+inverse by one symmetric Galerkin V-cycle over the mesh's refinement chain,
+with one sparse LU per class on the coarsest mesh; on a mesh that was not
+refined the cycle is that exact LU solve.
 
 For z-invariant problems the system splits exactly into two independent
 z-parity classes (angular modes with l + |m| even or odd).  ``solve_system``
@@ -25,6 +27,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
 from pnpml.assembly import (
@@ -37,6 +40,7 @@ from pnpml.assembly import (
     p1_stiffness,
     transport_seminorm2,
 )
+from pnpml.mesh import edge_local_mass
 
 __all__ = [
     "JACOBI",
@@ -70,37 +74,75 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class SchurOperator:
-    """S = M + R + B^T C^{-1} B on flattened even vectors, as terms A kron W
-    applied to (space, mode) arrays as A u W: (M_c + R) kron E_c, a column
-    gather, per even class c, and (G_i^T D_k G_j) kron (T_j^T P_k T_i) for
-    i, j in {x, y} per odd class k, with P_k its mode selector and
-    D_k = diag(1 / (|T| w_k)) its block of C^{-1}; each A on the P1 pattern."""
+    """S = M + R + B^T C^{-1} B on flattened even vectors, as K terms
+    A_t kron W_t applied to the (space, mode) array u in one stacked product
+
+        S u = [A_1 | ... | A_K] (u [W_1 ... W_K]).reshape(nv K, n),
+
+    one GEMM and one sparse product: the (nv, K nv) CSR matrix holds term t
+    of pattern column j in column j K + t, every A_t on the mesh's P1
+    pattern.  The terms:
+
+    - (M_c* + R) kron I, c* the even class with the most columns and R
+      the boundary mass (:func:`boundary_mass_matrix`) put on the pattern by
+      :meth:`Mesh2D.assemble_boundary`; every other even class c adds
+      (M_c - M_c*) u[:, cols_c] as a column gather;
+    - per odd class k, with P_k its mode selector and D_k = diag(1/(|T| w_k))
+      its block of C^{-1}, (G_i^T D_k G_i) kron (T_i^T P_k T_i) for i in
+      {x, y} and the cross pair (G_x^T D_k G_y) kron (T_y^T P_k T_x) plus its
+      transpose.  A class holding every odd mode of the basis merges the
+      pair into (G_x^T D_k G_y + G_y^T D_k G_x) kron (T_y^T T_x + T_x^T T_y)/2:
+      then T_y^T T_x = T_x^T T_y exactly, both the even projection of
+      multiplication by s_x s_y, since at odd N neither T_x nor T_y
+      truncates.  A partial class keeps both cross terms.
+
+    An isotropic kernel gives K = 4, kernel ``10 3 1`` K = 9."""
 
     blocks: BlockOperator
 
     def __post_init__(self):
         b = self.blocks
-        self._mass = [(cols, b.mass_blocks[l] + b.boundary) for l, cols in b.classes]
-        self._terms = []
+        mesh, n = b.mesh, b.basis.n_plus
+        indptr, indices, _ = mesh._pattern
+        data, weights = [], []  # per stacked term: A_t on the pattern, W_t
+        self._gathers = []      # (cols, M_c - M_c*) per other even class
+        if b.classes:
+            l_base, _ = max(b.classes, key=lambda c: c[1].size)
+            base = b.mass_blocks[l_base].data
+            r = mesh.assemble_boundary(edge_local_mass(mesh.boundary_lengths)).data
+            data.append(base + r)
+            weights.append(np.eye(n))
+            self._gathers = [(cols, csr_matrix((b.mass_blocks[l].data - base, indices, indptr),
+                                               shape=(mesh.n_vertices,) * 2))
+                             for l, cols in b.classes if l != l_base]
         for _, cols in _coefficient_classes(b.collision, b.diffusion, b.basis.odd_degrees()):
             d = 1.0 / b.c_diag[:, cols[0]]
             t_x, t_y = b.t_x[cols].toarray(), b.t_y[cols].toarray()
-            a_xy = p1_stiffness(b.mesh, d, [(0, 1)])  # G_y^T D G_x is its transpose
-            self._terms += [(p1_stiffness(b.mesh, d, [(0, 0)]), t_x.T @ t_x),
-                            (p1_stiffness(b.mesh, d, [(1, 1)]), t_y.T @ t_y),
-                            (a_xy, t_y.T @ t_x), (a_xy.T, t_x.T @ t_y)]
+            pairs = [[(0, 0)], [(1, 1)]]
+            weights += [t_x.T @ t_x, t_y.T @ t_y]
+            if cols.size == b.basis.n_minus:
+                pairs.append([(0, 1), (1, 0)])
+                weights.append(0.5 * (t_y.T @ t_x + t_x.T @ t_y))
+            else:
+                pairs += [[(0, 1)], [(1, 0)]]
+                weights += [t_y.T @ t_x, t_x.T @ t_y]
+            data += [p1_stiffness(mesh, d, p).data for p in pairs]
+        k = len(data)
+        self._a = csr_matrix((np.column_stack(data).ravel(),
+                              (indices[:, None] * k + np.arange(k, dtype=indices.dtype)).ravel(),
+                              indptr * k), shape=(mesh.n_vertices, k * mesh.n_vertices))
+        self._w = np.hstack(weights)
 
     @property
     def n(self) -> int:
         return self.blocks.n_even
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        u = x.reshape(self.blocks.mesh.n_vertices, self.blocks.basis.n_plus)
-        out = np.empty_like(u)
-        for cols, a in self._mass:
-            out[:, cols] = a @ u[:, cols]
-        for a, w in self._terms:
-            out += a @ (u @ w)
+        nv, n = self.blocks.mesh.n_vertices, self.blocks.basis.n_plus
+        u = x.reshape(nv, n)
+        out = self._a @ (u @ self._w).reshape(self._a.shape[1], n)
+        for cols, a in self._gathers:
+            out[:, cols] += a @ u[:, cols]
         return out.ravel()
 
 
@@ -116,12 +158,21 @@ def recover_odd(blocks: BlockOperator, q_minus: np.ndarray, u_plus: np.ndarray) 
 
 
 class JacobiPreconditioner:
-    """Inverse diagonal of the class blocks of S (``blocks.class_blocks()``)."""
+    """Inverse diagonal of the class blocks of S (``blocks.class_blocks()``),
+    summed without forming them: the diagonals of M_l and R plus, per vertex,
+    the triangles' g_x^2 k_l/|T| and then their g_y^2 k_l/|T|, the order in
+    which :func:`p1_stiffness` sums them, so bitwise the blocks' diagonal."""
 
     def __init__(self, blocks: BlockOperator):
-        diag = np.empty((blocks.mesh.n_vertices, blocks.basis.n_plus))
-        for cols, block in blocks.class_blocks():
-            diag[:, cols] = block.diagonal()[:, None]
+        mesh = blocks.mesh
+        diag = np.empty((mesh.n_vertices, blocks.basis.n_plus))
+        r = blocks.boundary.diagonal()
+        corners = np.tile(mesh.triangles.ravel(), 2)  # xx, then yy
+        g = mesh.gradients
+        for l, cols in blocks.classes:
+            k = (blocks.diffusion[:, l] / mesh.areas)[:, None]
+            stiff = np.bincount(corners, weights=((g * k) * g).ravel(), minlength=mesh.n_vertices)
+            diag[:, cols] = (blocks.mass_blocks[l].diagonal() + r + stiff)[:, None]
         if np.any(diag <= 0):
             raise NumericalError("nonpositive diagonal entry in the Schur operator")
         self._inv_diag = (1.0 / diag).ravel()
@@ -261,8 +312,9 @@ def pcg_solve(apply_s, rhs: np.ndarray, preconditioner=None, tol: float = 1e-7,
         return x, report
 
     r = rhs.copy()
-    z = psolve(r)
+    z = psolve(r)  # r itself without a preconditioner
     p = z.copy()
+    scratch = np.empty_like(rhs)
     rz = float(r @ z)
     for k in range(1, max_iter + 1):
         sp = matvec(p)
@@ -272,11 +324,11 @@ def pcg_solve(apply_s, rhs: np.ndarray, preconditioner=None, tol: float = 1e-7,
                 f"curvature {curvature} at iteration {k}: operator is not SPD "
                 "or the data are not finite")
         alpha = rz / curvature
-        x += alpha * p
+        x += np.multiply(p, alpha, out=scratch)
         if k % 50 == 0:
             r = rhs - matvec(x)
         else:
-            r -= alpha * sp
+            r -= np.multiply(sp, alpha, out=scratch)
         rel = float(np.linalg.norm(r)) / rhs_norm
         report.residual_history.append(rel)
         report.iterations = k
@@ -295,7 +347,8 @@ def pcg_solve(apply_s, rhs: np.ndarray, preconditioner=None, tol: float = 1e-7,
         rz_new = float(r @ z)
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
+        p *= beta
+        p += z
 
     report.converged = False
     report.wall_time = time.perf_counter() - t0

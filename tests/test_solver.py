@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
 from pnpml.angular import build_basis, coupling_matrices, degree_groups, quadrature_for_order
@@ -114,6 +115,29 @@ class TestSchurApply:
             want = s_dense @ x
             assert np.linalg.norm(op.apply(x) - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("N, modes", [(3, "z_even"), (3, "z_odd"), (1, "z_odd")])
+    def test_isotropic_restrictions_match_dense_oracle(self, N, modes):
+        # N = 1 z-odd has no even mode: S is the empty operator
+        _, basis, blocks, _, _ = small_instance(N)
+        sub = blocks.restrict(getattr(basis, modes)())
+        m_e, r_e, b_e, c_e = explicit_matrices(sub)
+        s_dense = ((m_e + r_e).toarray()
+                   + b_e.T.toarray() @ np.diag(1.0 / c_e.diagonal()) @ b_e.toarray())
+        op = SchurOperator(sub)
+        for _ in range(5):
+            x = RNG.normal(size=op.n)
+            want = s_dense @ x
+            assert op.apply(x).shape == want.shape
+            assert np.linalg.norm(op.apply(x) - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kernel, terms", [(1.0, 4), ([1.0, 0.3, 0.1], 9)])
+    def test_stacked_term_count(self, kernel, terms):
+        # mass + R, then xx, yy and one merged cross term per full odd class,
+        # or xx, yy and two cross terms per partial one ({1} and {3, 5})
+        _, _, blocks, _, _ = small_instance(5, kernel=kernel)
+        a = SchurOperator(blocks)._a
+        assert a.shape == (blocks.mesh.n_vertices, terms * blocks.mesh.n_vertices)
+
     def test_singular_odd_block_raises(self):
         mesh, basis, blocks, qp, qm = small_instance()
         w = blocks.collision.copy()
@@ -122,7 +146,86 @@ class TestSchurApply:
             SchurOperator(dataclasses.replace(blocks, collision=w)).apply(np.ones(blocks.n_even))
 
 
+def _odd_class_products(basis, sub_basis, cols):
+    """T_y^T P T_x and the norms of T_x, T_y for the odd modes ``cols`` of
+    ``sub_basis``, a sub-basis of ``basis``."""
+    even, odd = basis.positions(sub_basis)
+    coup = coupling_matrices(basis, quadrature_for_order(basis.order))
+    t_x, t_y = (t[odd][:, even].toarray()[cols] for t in (coup.t_x, coup.t_y))
+    return t_y.T @ t_x, np.linalg.norm(t_x) * np.linalg.norm(t_y)
+
+
+class TestCrossTermMerge:
+    @pytest.mark.parametrize("N", range(1, 16, 2))
+    @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])
+    def test_full_odd_class_cross_product_is_symmetric(self, N, modes):
+        # T_y^T T_x is the even projection of multiplication by s_x s_y
+        basis = build_basis(N)
+        sub = basis if modes == "full" else getattr(basis, modes)()
+        prod, scale = _odd_class_products(basis, sub, np.arange(sub.n_minus))
+        assert np.linalg.norm(prod - prod.T) <= 1e-13 * scale
+
+    def test_partial_odd_classes_cross_product_is_not_symmetric(self):
+        # a three-term kernel such as 10 3 1 at N = 5: odd classes {1}, {3, 5}
+        _, basis, blocks, _, _ = small_instance(5, kernel=[1.0, 0.3, 0.1])
+        odd = _coefficient_classes(blocks.collision, blocks.diffusion, basis.odd_degrees())
+        assert [sorted(set(basis.odd_degrees()[c].tolist())) for _, c in odd] == [[1], [3, 5]]
+        for _, cols in odd:
+            prod, _ = _odd_class_products(basis, basis, cols)
+            assert np.linalg.norm(prod - prod.T) >= 0.1 * np.linalg.norm(prod)
+
+
+def _textbook_pcg(matvec, rhs, psolve, tol, max_iter):
+    """PCG written out with fresh arrays: x and the residual history, the
+    recurrence residual replaced by the true one every 50 iterations and
+    confirmed by it before stopping."""
+    norm = np.linalg.norm(rhs)
+    x, r = np.zeros_like(rhs), rhs.copy()
+    z = psolve(r)
+    p, rz, history = z.copy(), float(r @ z), []
+    for k in range(1, max_iter + 1):
+        sp = matvec(p)
+        alpha = rz / float(p @ sp)
+        x = x + alpha * p
+        r = rhs - matvec(x) if k % 50 == 0 else r - alpha * sp
+        history.append(float(np.linalg.norm(r)) / norm)
+        if history[-1] <= tol:
+            r = rhs - matvec(x)
+            history[-1] = float(np.linalg.norm(r)) / norm
+            if history[-1] <= tol:
+                break
+        z = psolve(r)
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return x, history
+
+
 class TestPCG:
+    @pytest.mark.parametrize("precond", [False, True])
+    def test_bitwise_the_textbook_recurrence(self, precond):
+        # a tridiagonal SPD matrix that needs more than 50 iterations, so the
+        # true-residual replacement runs too
+        n = 200
+        d = np.linspace(2.001, 2.1, n)
+        a = diags([d, -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1], format="csr")
+        matvec = lambda v: a @ v
+        rhs = RNG.normal(size=n)
+
+        class Diagonal:
+            def apply(self, r):
+                return r / d
+
+        pre = Diagonal() if precond else None
+        psolve = pre.apply if precond else (lambda r: r)
+        x, report = pcg_solve(matvec, rhs, preconditioner=pre, tol=1e-12, max_iter=500)
+        want_x, want_history = _textbook_pcg(matvec, rhs, psolve, 1e-12, 500)
+        assert report.iterations > 50
+        assert np.array_equal(x, want_x)
+        assert report.residual_history == want_history
+        with pytest.raises(ConvergenceError) as err:
+            pcg_solve(matvec, rhs, preconditioner=pre, tol=1e-12, max_iter=30)
+        assert err.value.report.residual_history == _textbook_pcg(matvec, rhs, psolve, 1e-12, 30)[1]
+
     def test_zero_rhs(self):
         _, _, blocks, _, _ = small_instance()
         op = SchurOperator(blocks)
