@@ -18,7 +18,8 @@ class, and the mass products and both preconditioners run one block per class.
 
 Spatial matrices are assembled on the mesh's one P1 pattern
 (:meth:`Mesh2D.assemble`): the mass blocks, the class blocks and the terms
-G_i^T D G_j of the Schur operator PCG applies.  B, B^T and C^{-1} serve the
+G_i^T D G_j of the Schur operator PCG applies, all of the latter from one
+bincount (:func:`p1_stiffness_terms`).  B, B^T and C^{-1} serve the
 right-hand side, odd recovery, norms and residuals, matrix-free on (space,
 mode) arrays in C order: a sparse spatial product, then a product with a
 dense copy of T_i.  Explicit sparse assembly is for small-instance tests.
@@ -46,6 +47,7 @@ __all__ = [
     "explicit_matrices",
     "p1_mass",
     "p1_stiffness",
+    "p1_stiffness_terms",
     "even_l2_norm2",
     "odd_l2_norm2",
     "transport_seminorm2",
@@ -96,11 +98,26 @@ def p1_stiffness(mesh: Mesh2D, weight: np.ndarray, pairs=((0, 0), (1, 1))) -> cs
     """The sum over (i, j) in ``pairs`` (0 = x, 1 = y) of G_i^T diag(weight) G_j,
     G_i of :func:`gradient_matrices`, on the mesh's P1 pattern.  Each entry
     sums its triangles pair by pair, in the order of the sparse products."""
+    indptr, indices, _ = mesh._pattern
+    return csr_matrix((p1_stiffness_terms(mesh, [(weight, pairs)])[0], indices, indptr),
+                      shape=(mesh.n_vertices,) * 2)
+
+
+def p1_stiffness_terms(mesh: Mesh2D, terms: list) -> np.ndarray:
+    """The data on the mesh's P1 pattern of :func:`p1_stiffness` for each
+    (weight, pairs) of ``terms``, (K, nnz), from one bincount over the stacked
+    local values, term t's at the pattern positions plus t nnz: each term is
+    bitwise that of its own call."""
     g = mesh.gradients
-    local = np.empty((len(pairs), mesh.n_triangles, 3, 3))
-    for out, (i, j) in zip(local, pairs):
-        np.multiply((g[i] * weight[:, None])[:, :, None], g[j][:, None, :], out=out)
-    return mesh.assemble(local)
+    _, indices, scatter = mesh._pattern
+    stack = [(t, w, i, j) for t, (w, pairs) in enumerate(terms) for i, j in pairs]
+    local = np.empty((len(stack), mesh.n_triangles, 3, 3))
+    for out, (_, w, i, j) in zip(local, stack):
+        np.multiply((g[i] * w[:, None])[:, :, None], g[j][:, None, :], out=out)
+    offsets = np.array([t for t, *_ in stack], dtype=scatter.dtype) * indices.size
+    data = np.bincount((scatter + offsets[:, None, None]).ravel(), weights=local.ravel(),
+                       minlength=len(terms) * indices.size)
+    return data.reshape(len(terms), indices.size)
 
 
 def _coefficient_classes(w: np.ndarray, k: np.ndarray, degrees: np.ndarray) -> list:

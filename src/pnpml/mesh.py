@@ -307,16 +307,14 @@ class Mesh2D:
 
     def _on_pattern(self, scatter: np.ndarray, local: np.ndarray) -> csr_matrix:
         """The CSR matrix on the P1 pattern summing ``local`` values at the
-        pattern positions ``scatter``; a stack of them adds in stack order."""
+        pattern positions ``scatter``."""
         indptr, indices, _ = self._pattern
-        scatter = np.broadcast_to(scatter, (local.size // scatter.size, *scatter.shape))
         data = np.bincount(scatter.ravel(), weights=local.ravel(), minlength=indices.size)
         return csr_matrix((data, indices, indptr), shape=(self.n_vertices,) * 2)
 
     def assemble(self, local: np.ndarray, triangles: np.ndarray | None = None) -> csr_matrix:
         """The CSR matrix on the P1 pattern summing local values (k, 3, 3) of
-        ``triangles`` (default all), entry (a, b) at (t[a], t[b]); a stack
-        (s, k, 3, 3) of them adds in stack order."""
+        ``triangles`` (default all), entry (a, b) at (t[a], t[b])."""
         scatter = self._pattern[2]
         return self._on_pattern(scatter if triangles is None else scatter[triangles], local)
 

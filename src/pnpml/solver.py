@@ -12,8 +12,9 @@ with bitwise equal columns (w_l, k_l): the P_N diffusion block of
 :meth:`BlockOperator.class_blocks`.  ``jacobi`` inverts its diagonal, summed
 per vertex without forming the block.  ``block_spatial`` approximates its
 inverse by one symmetric Galerkin V-cycle over the mesh's refinement chain,
-with one sparse LU per class on the coarsest mesh; on a mesh that was not
-refined the cycle is that exact LU solve.
+damped-Jacobi smoothed through one stored iteration matrix per level, with
+one sparse LU per class on the coarsest mesh; on a mesh that was not refined
+the cycle is that exact LU solve.
 
 For z-invariant problems the system splits exactly into two independent
 z-parity classes (angular modes with l + |m| even or odd).  ``solve_system``
@@ -37,7 +38,7 @@ from pnpml.assembly import (
     _coefficient_classes,
     even_l2_norm2,
     odd_l2_norm2,
-    p1_stiffness,
+    p1_stiffness_terms,
     transport_seminorm2,
 )
 from pnpml.mesh import edge_local_mass
@@ -106,6 +107,7 @@ class SchurOperator:
         indptr, indices, _ = mesh._pattern
         data, weights = [], []  # per stacked term: A_t on the pattern, W_t
         self._gathers = []      # (cols, M_c - M_c*) per other even class
+        odd = []                # (D_k, pairs) per odd term
         if b.classes:
             l_base, _ = max(b.classes, key=lambda c: c[1].size)
             base = b.mass_blocks[l_base].data
@@ -126,7 +128,8 @@ class SchurOperator:
             else:
                 pairs += [[(0, 1)], [(1, 0)]]
                 weights += [t_y.T @ t_x, t_x.T @ t_y]
-            data += [p1_stiffness(mesh, d, p).data for p in pairs]
+            odd += [(d, p) for p in pairs]
+        data += list(p1_stiffness_terms(mesh, odd))
         k = len(data)
         self._a = csr_matrix((np.column_stack(data).ravel(),
                               (indices[:, None] * k + np.arange(k, dtype=indices.dtype)).ravel(),
@@ -185,20 +188,48 @@ _OMEGA = 0.8   # damped-Jacobi weight of the V-cycle smoother
 _SWEEPS = 2    # smoothing sweeps before and after each coarse correction
 
 
+def _smoother(a: csr_matrix) -> tuple[csr_matrix, np.ndarray]:
+    """The damped-Jacobi iteration matrix J = I - omega D^{-1} A of ``a`` on
+    its own pattern, which holds the diagonal D, and omega D^{-1} as a
+    column.  A diagonal that is not positive and finite raises."""
+    d = a.diagonal()
+    if not np.all(np.isfinite(d) & (d > 0)):
+        raise NumericalError("nonpositive or nonfinite diagonal entry in a "
+                             "block_spatial level")
+    w = _OMEGA / d
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    data = -w[rows] * a.data
+    data[a.indices == rows] += 1.0
+    return csr_matrix((data, a.indices, a.indptr), shape=a.shape), w[:, None]
+
+
 def _v_cycle(levels: list, lu, b: np.ndarray) -> np.ndarray:
     """One V-cycle from x = 0 for A x = b on the finest of ``levels``, a list
-    of (A, omega / diag(A), P, Pᵀ) from fine to coarse; ``lu`` solves the
-    coarsest system exactly."""
+    of (A, J, omega / diag(A), P, Pᵀ) from fine to coarse with J the smoother
+    of :func:`_smoother`; ``lu`` solves the coarsest system exactly.  Each
+    damped-Jacobi sweep is x <- J x + c with c = omega D^{-1} b formed once,
+    so the first sweep from zero is x = c."""
     if not levels:
         return lu.solve(b)
-    (a, w, p, pt), coarser = levels[0], levels[1:]
-    x = w * b
+    (a, j, w, p, pt), coarser = levels[0], levels[1:]
+    x = c = w * b
     for _ in range(_SWEEPS - 1):
-        x += w * (b - a @ x)
-    x += p @ _v_cycle(coarser, lu, pt @ (b - a @ x))
+        x = j @ x
+        x += c
+    # a new array: with a single sweep x is still c
+    x = x + p @ _v_cycle(coarser, lu, pt @ (b - a @ x))
     for _ in range(_SWEEPS):
-        x += w * (b - a @ x)
+        x = j @ x
+        x += c
     return x
+
+
+def _columns(cols: np.ndarray):
+    """``cols`` as a slice if they are one run of consecutive columns, as a
+    class of consecutive degrees is in a basis listed by ascending degree,
+    else as is."""
+    start, stop = int(cols[0]), int(cols[0]) + cols.size
+    return slice(start, stop) if np.array_equal(cols, np.arange(start, stop)) else cols
 
 
 class BlockSpatialPreconditioner:
@@ -207,11 +238,15 @@ class BlockSpatialPreconditioner:
     Per coefficient class the block A is carried down the mesh's refinement
     chain (``Mesh2D.parent``) as the Galerkin product Pᵀ A P, with P the P1
     prolongation, and factorized once by a sparse LU on the coarsest mesh.
-    ``apply`` runs one V-cycle per class, all modes of the class as one
-    multi-column right-hand side: on each finer level, _SWEEPS damped-Jacobi
-    sweeps (weight _OMEGA) before the coarse correction and as many after,
-    so the cycle is a symmetric operator.  A mesh without a parent is a chain
-    of one, where the cycle is the exact LU solve of the block."""
+    Each finer level also stores its damped-Jacobi iteration matrix
+    J = I - omega D^{-1} A (weight _OMEGA) on A's pattern; a diagonal that is
+    not positive and finite raises NumericalError.  ``apply`` runs one
+    V-cycle per class, its columns gathered into one contiguous
+    multi-column right-hand side: on each finer level, _SWEEPS sweeps
+    x <- J x + c, c = omega D^{-1} b, before the coarse correction and as
+    many after, so the cycle is a symmetric operator.  A mesh without a
+    parent is a chain of one, where the cycle is the exact LU solve of the
+    block."""
 
     def __init__(self, blocks: BlockOperator):
         self._shape = (blocks.mesh.n_vertices, blocks.basis.n_plus)
@@ -225,9 +260,9 @@ class BlockSpatialPreconditioner:
             levels = []
             for p, pt in chain:
                 block = block.tocsr()
-                levels.append((block, _OMEGA / block.diagonal()[:, None], p, pt))
+                levels.append((block, *_smoother(block), p, pt))
                 block = pt @ block @ p
-            self._cols.append(cols)
+            self._cols.append(_columns(cols))
             self._levels.append(levels)
             self._solvers.append(splu(block.tocsc()))
 
@@ -235,7 +270,7 @@ class BlockSpatialPreconditioner:
         u = r.reshape(self._shape)
         out = np.empty_like(u)
         for cols, levels, lu in zip(self._cols, self._levels, self._solvers):
-            out[:, cols] = _v_cycle(levels, lu, u[:, cols])
+            out[:, cols] = _v_cycle(levels, lu, np.ascontiguousarray(u[:, cols]))
         return out.ravel()
 
 

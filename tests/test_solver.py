@@ -11,6 +11,7 @@ from pnpml.assembly import (
     build_operator,
     explicit_matrices,
     p1_mass,
+    p1_stiffness,
     project_source,
 )
 from pnpml.mesh import Disk, GeometrySpec, Mesh2D, Rect, build_mesh, uniform_refine
@@ -18,6 +19,8 @@ from pnpml.pml import extend_coefficients
 from pnpml.solver import (
     BLOCK_SPATIAL,
     JACOBI,
+    _OMEGA,
+    _SWEEPS,
     BlockSpatialPreconditioner,
     ConvergenceError,
     JacobiPreconditioner,
@@ -549,6 +552,96 @@ class TestVCycle:
         assert r1.residual_history == r2.residual_history
         assert f1.even.tobytes() == f2.even.tobytes()
         assert f1.odd.tobytes() == f2.odd.tobytes()
+
+
+def residual_form_v_cycle(mesh, a, b):
+    """One V-cycle from zero for a x = b over the mesh's refinement chain,
+    each damped-Jacobi sweep in residual form x += w (b - a x), w = omega /
+    diag(a), with the Galerkin coarse blocks and the exact coarsest solve."""
+    if mesh.parent is None:
+        return splu(a.tocsc()).solve(b)
+    p = mesh.parent.prolongation
+    pt = p.T.tocsr()
+    w = _OMEGA / a.diagonal()[:, None]
+    x = w * b
+    for _ in range(_SWEEPS - 1):
+        x += w * (b - a @ x)
+    x += p @ residual_form_v_cycle(mesh.parent, pt @ a @ p, pt @ (b - a @ x))
+    for _ in range(_SWEEPS):
+        x += w * (b - a @ x)
+    return x
+
+
+class TestIterationMatrixCycle:
+    """The V-cycle sweeps x <- J x + c with J = I - omega D^{-1} A stored per
+    level; in exact arithmetic that is the residual-form sweep."""
+
+    @pytest.mark.parametrize("N, sig, n_classes", [(3, 10.0, 2), (5, [10.0, 3.0, 1.0], 3)])
+    def test_matches_the_residual_form_cycle(self, N, sig, n_classes):
+        _, _, blocks, _, _ = desk_instance(h=0.2, N=N, sig=sig, levels=2)
+        assert len(blocks.classes) == n_classes
+        pre = BlockSpatialPreconditioner(blocks)
+        shape = (blocks.mesh.n_vertices, blocks.basis.n_plus)
+        r = RNG.normal(size=shape)
+        z = pre.apply(r.ravel()).reshape(shape)
+        for cols, block in blocks.class_blocks():
+            want = residual_form_v_cycle(blocks.mesh, block.tocsr(), r[:, cols])
+            assert np.linalg.norm(z[:, cols] - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_class_that_is_not_one_run_keeps_its_index_array(self):
+        # degrees 0 and 4 in one class, solved with the block of degree 0
+        _, _, blocks, _, _ = desk_instance(h=0.2, N=5, levels=1)
+        by_degree = dict(degree_groups(blocks.basis.even_degrees()))
+        merged = dataclasses.replace(blocks)
+        merged.classes = [(0, np.concatenate([by_degree[0], by_degree[4]])), (2, by_degree[2])]
+        pre = BlockSpatialPreconditioner(merged)
+        assert isinstance(pre._cols[0], np.ndarray) and isinstance(pre._cols[1], slice)
+        shape = (merged.mesh.n_vertices, merged.basis.n_plus)
+        r = RNG.normal(size=shape)
+        z = pre.apply(r.ravel()).reshape(shape)
+        for cols, block in merged.class_blocks():
+            want = residual_form_v_cycle(merged.mesh, block.tocsr(), r[:, cols])
+            assert np.linalg.norm(z[:, cols] - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_isotropic_z_even_classes_are_slices(self):
+        _, basis, blocks, _, _ = desk_instance(h=0.2, N=9)
+        sub = blocks.restrict(basis.z_even())
+        pre = BlockSpatialPreconditioner(sub)
+        assert len(pre._cols) == len(sub.classes) == 2
+        for got, (_, cols) in zip(pre._cols, sub.classes):
+            assert isinstance(got, slice)
+            assert np.array_equal(np.arange(sub.basis.n_plus)[got], cols)
+
+    @pytest.mark.parametrize("value", [-1e-3, np.nan])
+    def test_bad_smoothed_diagonal_rejected(self, value):
+        # w_1 < 0 makes the diffusion k_0 = 1/(3 w_1) and the block diagonal
+        # negative; NaN makes it NaN.  The odd block stays nonsingular.
+        _, _, blocks, _, _ = desk_instance(h=0.2, N=3, levels=1)
+        w = blocks.collision.copy()
+        w[:, 1] = value
+        with pytest.raises(NumericalError, match="diagonal"):
+            BlockSpatialPreconditioner(dataclasses.replace(blocks, collision=w))
+
+
+class TestOddTermData:
+    @pytest.mark.parametrize("kernel", [1.0, [1.0, 0.3, 0.1]])
+    def test_one_bincount_is_bitwise_the_per_term_stiffness(self, kernel):
+        # xx, yy and the merged cross pair of a full odd class, or both cross
+        # terms of a partial one, after the even term, in class order
+        mesh, basis, blocks, _, _ = small_instance(5, kernel=kernel)
+        a = SchurOperator(blocks)._a
+        k = a.shape[1] // mesh.n_vertices
+        terms = a.data.reshape(-1, k).T
+        want = []
+        for _, cols in _coefficient_classes(blocks.collision, blocks.diffusion,
+                                            basis.odd_degrees()):
+            d = 1.0 / blocks.c_diag[:, cols[0]]
+            cross = ([[(0, 1), (1, 0)]] if cols.size == basis.n_minus
+                     else [[(0, 1)], [(1, 0)]])
+            want += [p1_stiffness(mesh, d, p).data for p in [[(0, 0)], [(1, 1)], *cross]]
+        assert len(want) == k - 1
+        for got, ref in zip(terms[1:], want):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestTrends:
