@@ -17,9 +17,10 @@ kernel: {0} and every l >= 2); ``build_operator`` assembles one mass block per
 class, and the mass products and both preconditioners run one block per class.
 
 Spatial matrices are assembled on the mesh's one P1 pattern
-(:meth:`Mesh2D.assemble`): the mass blocks, the class blocks and the terms
-G_i^T D G_j of the Schur operator PCG applies, all of the latter from one
-bincount (:func:`p1_stiffness_terms`).  B, B^T and C^{-1} serve the
+(:meth:`Mesh2D.assemble`): the mass blocks, R, the class blocks and the
+terms G_i^T D G_j of the Schur operator PCG applies, the stiffness of all
+class blocks and of all those terms from one bincount each
+(:func:`p1_stiffness_terms`).  B, B^T and C^{-1} serve the
 right-hand side, odd recovery, norms and residuals, matrix-free on (space,
 mode) arrays in C order: a sparse spatial product, then a product with a
 dense copy of T_i.  Explicit sparse assembly is for small-instance tests.
@@ -207,10 +208,16 @@ class BlockOperator:
         reach degrees l+1 and l-1 with these weights and do not mix x with y.
         ``diffusion`` holds k_l = (a + l (b - a)/(2l+1)) / 3, a = 1/w_{l+1},
         b = 1/w_{l-1} (b = a at l = 0): exactly a/3 where b = a.  The block
-        depends on w_l and k_l only, so it is that of every degree of its class."""
-        return [(cols, (self.mass_blocks[l] + self.boundary + p1_stiffness(
-                    self.mesh, self.diffusion[:, l] / self.mesh.areas)).tocsc())
-                for l, cols in self.classes]
+        depends on w_l and k_l only, so it is that of every degree of its class.
+        Each block is CSR on the P1 pattern, zero sums stored, the stiffness
+        of all classes from one :func:`p1_stiffness_terms` call."""
+        mesh = self.mesh
+        indptr, indices, _ = mesh._pattern
+        k = p1_stiffness_terms(mesh, [(self.diffusion[:, l] / mesh.areas, ((0, 0), (1, 1)))
+                                      for l, _ in self.classes])
+        return [(cols, csr_matrix((self.mass_blocks[l].data + self.boundary.data + k_l,
+                                   indices, indptr), shape=(mesh.n_vertices,) * 2))
+                for (l, cols), k_l in zip(self.classes, k)]
 
     def restrict(self, sub_basis: AngularBasis) -> "BlockOperator":
         """The operator on a subset of the angular modes, such as one z-parity
@@ -227,9 +234,10 @@ class BlockOperator:
         return sub
 
     def nnz_counts(self) -> dict[str, int]:
-        """Stored entries of each block in assembled (Kronecker) form."""
+        """Stored entries of each block in assembled (Kronecker) form; R counts
+        its nonzeros, not the pattern zeros it stores."""
         nnz_m = sum(self.mass_blocks[l].nnz * cols.size for l, cols in self.classes)
-        nnz_r = int(self.boundary.nnz) * self.basis.n_plus
+        nnz_r = int(np.count_nonzero(self.boundary.data)) * self.basis.n_plus
         nnz_b = self.g_x.nnz * self.t_x.nnz + self.g_y.nnz * self.t_y.nnz
         return {"mass": nnz_m, "boundary": nnz_r, "transport": nnz_b,
                 "odd": int(np.count_nonzero(self.c_diag))}

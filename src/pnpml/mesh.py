@@ -542,13 +542,10 @@ def edge_local_mass(length) -> np.ndarray:
 
 
 def boundary_mass_matrix(mesh: Mesh2D) -> csr_matrix:
-    """P1 mass matrix over the outer boundary curve, stored at the boundary
-    pairs only; rows and columns of interior vertices are identically zero."""
-    # a copy, since eliminate_zeros prunes in place the index arrays that
-    # matrices on the pattern share; every boundary entry is positive
-    r = mesh.assemble_boundary(edge_local_mass(mesh.boundary_lengths)).copy()
-    r.eliminate_zeros()
-    return r
+    """P1 mass matrix over the outer boundary curve, on the mesh's P1 pattern:
+    nonzero exactly at the boundary pairs, so rows and columns of interior
+    vertices hold stored zeros only."""
+    return mesh.assemble_boundary(edge_local_mass(mesh.boundary_lengths))
 
 
 def submesh_interior(mesh: Mesh2D) -> tuple[Mesh2D, np.ndarray, np.ndarray]:

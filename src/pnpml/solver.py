@@ -9,12 +9,12 @@ sparse product (K = 4 for an isotropic kernel); B, B^T and C^{-1} serve the
 right-hand side, the odd recovery, the norms and the residuals.  Both
 preconditioners come from one block per coefficient class, the even degrees
 with bitwise equal columns (w_l, k_l): the P_N diffusion block of
-:meth:`BlockOperator.class_blocks`.  ``jacobi`` inverts its diagonal, summed
-per vertex without forming the block.  ``block_spatial`` approximates its
-inverse by one symmetric Galerkin V-cycle over the mesh's refinement chain,
-damped-Jacobi smoothed through one stored iteration matrix per level, with
-one sparse LU per class on the coarsest mesh; on a mesh that was not refined
-the cycle is that exact LU solve.
+:meth:`BlockOperator.class_blocks`, on the P1 pattern.  ``jacobi`` inverts
+its diagonal.  ``block_spatial`` approximates its inverse by one symmetric
+Galerkin V-cycle over the mesh's refinement chain, damped-Jacobi smoothed
+through one stored iteration matrix per level, with one sparse LU per class
+on the coarsest mesh; on a mesh that was not refined the cycle is that exact
+LU solve.
 
 For z-invariant problems the system splits exactly into two independent
 z-parity classes (angular modes with l + |m| even or odd).  ``solve_system``
@@ -41,7 +41,6 @@ from pnpml.assembly import (
     p1_stiffness_terms,
     transport_seminorm2,
 )
-from pnpml.mesh import edge_local_mass
 
 __all__ = [
     "JACOBI",
@@ -85,8 +84,8 @@ class SchurOperator:
     pattern.  The terms:
 
     - (M_c* + R) kron I, c* the even class with the most columns and R
-      the boundary mass (:func:`boundary_mass_matrix`) put on the pattern by
-      :meth:`Mesh2D.assemble_boundary`; every other even class c adds
+      the boundary mass ``blocks.boundary``, on the pattern as built by
+      :func:`boundary_mass_matrix`; every other even class c adds
       (M_c - M_c*) u[:, cols_c] as a column gather;
     - per odd class k, with P_k its mode selector and D_k = diag(1/(|T| w_k))
       its block of C^{-1}, (G_i^T D_k G_i) kron (T_i^T P_k T_i) for i in
@@ -111,8 +110,7 @@ class SchurOperator:
         if b.classes:
             l_base, _ = max(b.classes, key=lambda c: c[1].size)
             base = b.mass_blocks[l_base].data
-            r = mesh.assemble_boundary(edge_local_mass(mesh.boundary_lengths)).data
-            data.append(base + r)
+            data.append(base + b.boundary.data)
             weights.append(np.eye(n))
             self._gathers = [(cols, csr_matrix((b.mass_blocks[l].data - base, indices, indptr),
                                                shape=(mesh.n_vertices,) * 2))
@@ -161,23 +159,16 @@ def recover_odd(blocks: BlockOperator, q_minus: np.ndarray, u_plus: np.ndarray) 
 
 
 class JacobiPreconditioner:
-    """Inverse diagonal of the class blocks of S (``blocks.class_blocks()``),
-    summed without forming them: the diagonals of M_l and R plus, per vertex,
-    the triangles' g_x^2 k_l/|T| and then their g_y^2 k_l/|T|, the order in
-    which :func:`p1_stiffness` sums them, so bitwise the blocks' diagonal."""
+    """Inverse diagonal of the class blocks of S (``blocks.class_blocks()``);
+    a diagonal that is not positive and finite raises NumericalError."""
 
     def __init__(self, blocks: BlockOperator):
-        mesh = blocks.mesh
-        diag = np.empty((mesh.n_vertices, blocks.basis.n_plus))
-        r = blocks.boundary.diagonal()
-        corners = np.tile(mesh.triangles.ravel(), 2)  # xx, then yy
-        g = mesh.gradients
-        for l, cols in blocks.classes:
-            k = (blocks.diffusion[:, l] / mesh.areas)[:, None]
-            stiff = np.bincount(corners, weights=((g * k) * g).ravel(), minlength=mesh.n_vertices)
-            diag[:, cols] = (blocks.mass_blocks[l].diagonal() + r + stiff)[:, None]
-        if np.any(diag <= 0):
-            raise NumericalError("nonpositive diagonal entry in the Schur operator")
+        diag = np.empty((blocks.mesh.n_vertices, blocks.basis.n_plus))
+        for cols, block in blocks.class_blocks():
+            diag[:, cols] = block.diagonal()[:, None]
+        if not np.all(np.isfinite(diag) & (diag > 0)):
+            raise NumericalError("nonpositive or nonfinite diagonal entry in the "
+                                 "Schur operator")
         self._inv_diag = (1.0 / diag).ravel()
 
     def apply(self, r: np.ndarray) -> np.ndarray:
@@ -259,7 +250,6 @@ class BlockSpatialPreconditioner:
         for cols, block in blocks.class_blocks():
             levels = []
             for p, pt in chain:
-                block = block.tocsr()
                 levels.append((block, *_smoother(block), p, pt))
                 block = pt @ block @ p
             self._cols.append(_columns(cols))

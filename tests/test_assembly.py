@@ -16,6 +16,7 @@ from pnpml.assembly import (
     project_source,
     transport_seminorm2,
 )
+from pnpml.cli import _lattice_physics
 from pnpml.mesh import (
     INTERIOR,
     LAYER,
@@ -273,9 +274,9 @@ class TestKroneckerConsistency:
         counts = op.nnz_counts()
         assert counts["odd"] == mesh.n_triangles * basis.n_minus
         assert counts["mass"] / (mesh.n_vertices * basis.n_plus) <= 12
-        # boundary block touches only boundary vertices
+        # boundary block: nonzero at the boundary pairs only
         nb = mesh.boundary_vertices.size
-        assert counts["boundary"] <= 3 * nb * basis.n_plus
+        assert counts["boundary"] == (2 * len(mesh.boundary_edges) + nb) * basis.n_plus
 
     @pytest.mark.parametrize("N", [1, 3, 5])
     def test_transport_count_matches_kronecker_product(self, N):
@@ -365,18 +366,33 @@ class TestPattern:
         want = left.T @ diags(np.tile(weight, len(pairs))) @ right
         assert p1_stiffness(mesh, weight, pairs).toarray().tobytes() == want.toarray().tobytes()
 
-    @pytest.mark.parametrize("modes", ["full", "z_even"])
+    @pytest.mark.parametrize("modes", ["full", "z_even", "lattice_z_even", "disk_z_even"])
     def test_class_blocks_are_bitwise_the_sparse_products(self, modes):
-        _, mesh, coeffs, basis, coup = rect_setup(N=5, sig=[1.0, 0.3, 0.1])
-        op = build_operator(mesh, basis, coup, coeffs)
+        if modes == "lattice_z_even":
+            # the scattering cells have w_0 = 0, so class {0} sums to zero at
+            # pattern entries the sparse sum drops and the block stores
+            mu, kernel, _ = _lattice_physics()
+            _, mesh, coeffs, basis, coup = rect_setup(N=5, mu=mu, sig=kernel)
+            with pytest.warns(UserWarning, match="gamma <= 0"):
+                op = build_operator(mesh, basis, coup, coeffs)
+        else:
+            # the disk's entries round, so their summation order shows
+            _, mesh, coeffs, basis, coup = (disk_setup(h=0.2, N=5) if modes == "disk_z_even"
+                                            else rect_setup(N=5, sig=[1.0, 0.3, 0.1]))
+            op = build_operator(mesh, basis, coup, coeffs)
         if modes != "full":
-            op = op.restrict(getattr(basis, modes)())
+            op = op.restrict(basis.z_even())
         g = vstack([op.g_x, op.g_y], format="csr")
+        stored_zeros = 0
         for (l, cols), (cols_b, block) in zip(op.classes, op.class_blocks()):
             k = diags(np.tile(op.diffusion[:, l] / mesh.areas, 2))
             want = op.mass_blocks[l] + op.boundary + g.T @ k @ g
             assert np.array_equal(cols, cols_b)
             assert block.toarray().tobytes() == want.toarray().tobytes()
+            assert np.shares_memory(block.indptr, mesh._pattern[0])
+            assert np.shares_memory(block.indices, mesh._pattern[1])
+            stored_zeros += block.nnz - np.count_nonzero(block.data)
+        assert (stored_zeros > 0) == (modes == "lattice_z_even")
 
 
 # degrees 5, 6 and 7 repeat the weights of degrees 1, 2 and 3
