@@ -338,6 +338,12 @@ class Mesh2D:
         return csr_matrix((vals, (rows, cols)), shape=(nv + ne, nv))
 
     @cached_property
+    def _ray_paths(self) -> dict:
+        """The oracle's sweep rays traced along each planar direction, filled
+        on first use by :class:`pnpml.oracle.SweepOperator`."""
+        return {}
+
+    @cached_property
     def _corners(self) -> np.ndarray:
         """Corners x, y and edge vectors ex, ey (edge k: corner k to k + 1), (nt, 4, 3)."""
         x, y = self.vertices[self.triangles, 0], self.vertices[self.triangles, 1]

@@ -2,12 +2,16 @@
 and a discrete-ordinates source iteration with vacuum or reflective
 boundaries.
 
-Rays are traced once per planar direction, shared by every ordinate with that
-direction, by a walk over the triangle adjacency; absorption is integrated
+Rays are traced by a walk over the triangle adjacency.  The sweep's rays
+depend only on the mesh and the planar direction, so each direction is traced
+once per mesh and cached with the mesh's other derived tables; every sweep
+built on that mesh, at any absorption, reuses it.  Absorption is integrated
 exactly per crossed triangle (piecewise-constant data) and smooth external
-sources by per-segment Gauss quadrature.  The traced geometry is frozen into
-sparse sweep matrices, so each source-iteration step reduces to a handful of
-matrix-vector products.
+sources by per-segment Gauss quadrature.  The distinct sweeps are frozen into
+one stacked sparse matrix, so each source-iteration step is one sparse
+product and a few gathers.  A cache entry is stored only once it is complete,
+so concurrent builds on one mesh are safe; two of them may trace the same
+direction, and either result serves.
 """
 
 from __future__ import annotations
@@ -92,14 +96,11 @@ class _Trace:
     t1: np.ndarray               # (ns,)
     exit_point: np.ndarray       # (n_rays, 2) where each ray leaves the mesh
     exit_edge: np.ndarray        # (n_rays,) boundary edge it leaves through
-    q_nodes: np.ndarray | None   # (ns, 4) analytic source at the Gauss nodes
 
 
-def _trace(mesh: Mesh2D, starts: np.ndarray, start_tri: np.ndarray, u: np.ndarray,
-           q=None) -> _Trace:
+def _trace(mesh: Mesh2D, starts: np.ndarray, start_tri: np.ndarray, u: np.ndarray) -> _Trace:
     """Walk the backward rays from ``starts`` in triangles ``start_tri`` along
-    the planar direction u and sample ``q`` (zero outside INTERIOR triangles)
-    at every segment's Gauss nodes.  All rays step together: each leaves its
+    the planar direction u.  All rays step together: each leaves its
     triangle through the first edge it crosses among those it heads out of
     (cross(e, -u) < 0) to the neighbour across it, or stops on the boundary
     edge it crossed, which the direction therefore enters through."""
@@ -146,25 +147,32 @@ def _trace(mesh: Mesh2D, starts: np.ndarray, start_tri: np.ndarray, u: np.ndarra
     t_exit = np.zeros(n)
     t_exit[n_seg > 0] = t1[ends[n_seg > 0] - 1]
     exit_point = starts - t_exit[:, None] * u[None, :]
-
-    q_nodes = None
-    if q is not None:
-        q_nodes = np.zeros((tri.size, _GAUSS_NODES.size))
-        on = mesh.tags[tri] == INTERIOR
-        if on.any():
-            tg = t0[on, None] + (t1 - t0)[on, None] * _GAUSS_NODES
-            pts = starts[ray[on], None, :] - tg[..., None] * u
-            q_nodes[on] = np.asarray(q(pts.reshape(-1, 2)), dtype=float).reshape(tg.shape)
-    return _Trace(ray, slot, tri, t0, t1, exit_point, exit_edge, q_nodes)
+    return _Trace(ray, slot, tri, t0, t1, exit_point, exit_edge)
 
 
-def _integrate(trace: _Trace, mu: np.ndarray, beta: float):
+def _sample_source(mesh: Mesh2D, trace: _Trace, starts: np.ndarray, u: np.ndarray,
+                   q) -> np.ndarray:
+    """The analytic source ``q`` at the Gauss nodes of every segment of the
+    rays traced from ``starts`` along u, (ns, 4); zero outside INTERIOR
+    triangles."""
+    q_nodes = np.zeros((trace.tri.size, _GAUSS_NODES.size))
+    on = mesh.tags[trace.tri] == INTERIOR
+    if on.any():
+        t0, t1 = trace.t0[on, None], trace.t1[on, None]
+        tg = t0 + (t1 - t0) * _GAUSS_NODES
+        pts = starts[trace.ray[on], None, :] - tg[..., None] * u
+        q_nodes[on] = np.asarray(q(pts.reshape(-1, 2)), dtype=float).reshape(tg.shape)
+    return q_nodes
+
+
+def _integrate(trace: _Trace, mu: np.ndarray, beta: float, q_nodes: np.ndarray | None = None):
     """Exact attenuation along the traced rays of one ordinate, with
     piecewise-constant absorption mu and 3D path stretch beta = 1/|s_xy|.
 
     Returns the weight of a unit per-triangle source on each segment, the
     attenuation exp(-tau_exit) of each ray's inflow, and each ray's Gauss
-    line integral of the traced analytic source (None without one)."""
+    line integral of the sampled analytic source ``q_nodes`` (None without
+    one)."""
     dt = trace.t1 - trace.t0
     mu_seg = mu[trace.tri]
     opt = mu_seg * beta * dt
@@ -177,11 +185,46 @@ def _integrate(trace: _Trace, mu: np.ndarray, beta: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(mu_seg > 0, att * (1.0 - np.exp(-opt)) / mu_seg, att * beta * dt)
     exit_fac = np.exp(-depth[:, -1])
-    if trace.q_nodes is None:
+    if q_nodes is None:
         return w, exit_fac, None
     damp = np.exp(-(tau[:, None] + (mu_seg * beta)[:, None] * (dt[:, None] * _GAUSS_NODES)))
-    seg = dt * beta * np.sum(_GAUSS_WEIGHTS * trace.q_nodes * damp, axis=1)
+    seg = dt * beta * np.sum(_GAUSS_WEIGHTS * q_nodes * damp, axis=1)
     return w, exit_fac, np.bincount(trace.ray, weights=seg, minlength=depth.shape[0])
+
+
+@dataclass(frozen=True)
+class _RayPaths:
+    """The sweep's rays traced along one planar direction and the CSR layout
+    of their (ray, triangle) pairs: rows are rays, columns sorted triangles."""
+
+    trace: _Trace
+    entry: np.ndarray    # (ns,) CSR entry of each segment
+    indptr: np.ndarray   # (n_rays + 1,)
+    indices: np.ndarray  # (n_entries,) triangle of each entry
+
+
+def _sweep_starts(mesh: Mesh2D) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep's ray starts, triangle centroids then boundary-edge
+    midpoints, and the triangle each starts in."""
+    starts = np.vstack([mesh.centroids, mesh.vertices[mesh.boundary_edges].mean(axis=1)])
+    return starts, np.concatenate([np.arange(mesh.n_triangles), mesh.boundary_owners])
+
+
+def _ray_paths(mesh: Mesh2D, u: np.ndarray) -> _RayPaths:
+    """The sweep's rays along u, traced on first use and then read from the
+    mesh's cache, keyed by the exact bytes of u.  An entry is stored only
+    once it is complete, so concurrent builds on one mesh are safe: at worst
+    two of them trace the same direction and one result is kept."""
+    key = u.tobytes()
+    paths = mesh._ray_paths.get(key)
+    if paths is None:
+        trace = _trace(mesh, *_sweep_starts(mesh), u)
+        nt, n_rays = mesh.n_triangles, trace.exit_point.shape[0]
+        pairs, entry = np.unique(trace.ray * nt + trace.tri, return_inverse=True)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(pairs // nt, minlength=n_rays))])
+        paths = _RayPaths(trace, entry, indptr, pairs % nt)
+        mesh._ray_paths[key] = paths
+    return paths
 
 
 class SweepOperator:
@@ -192,7 +235,11 @@ class SweepOperator:
     where src is any per-triangle isotropic source density added on top of the
     (optional) analytic external source on INTERIOR triangles, integrated at
     build time.  Under z-invariance the ray paths depend only on the planar
-    direction s_xy/|s_xy|.
+    direction s_xy/|s_xy|, so they come from the mesh's cache of traced
+    directions; ordinates mirrored in s_z also share |s_xy| and so one sweep.
+    The distinct sweeps are stacked ray-major in one CSR matrix (row
+    r * n_sweeps + k is ray r of sweep k), so :meth:`apply` is one sparse
+    product and gathers.
     """
 
     def __init__(self, mesh: Mesh2D, mu_tri: np.ndarray, ordinates: OrdinateSet,
@@ -201,8 +248,7 @@ class SweepOperator:
         self.ordinates = ordinates
         self.mu = np.asarray(mu_tri, dtype=float)
         nt = mesh.n_triangles
-        starts = np.vstack([mesh.centroids, mesh.vertices[mesh.boundary_edges].mean(axis=1)])
-        start_tri = np.concatenate([np.arange(nt), mesh.boundary_owners])
+        starts = _sweep_starts(mesh)[0]
         self.n_rays = starts.shape[0]
 
         s_xy = ordinates.directions[:, :2]
@@ -211,29 +257,54 @@ class SweepOperator:
             raise ValueError("ordinate parallel to the invariant axis")
         u = s_xy / p[:, None]
 
-        self._sweeps = [None] * ordinates.n_dirs
-        traces, sweeps = {}, {}
+        self._sweep = np.empty(ordinates.n_dirs, dtype=np.intp)
+        traced, sweeps = {}, {}
         # directions equal up to roundoff share one trace (a group split by the
         # rounding only costs an extra trace), taken along the group's smallest
-        # u in lexicographic order whatever the order of the ordinate set;
-        # ordinates mirrored in s_z share the exact |s_xy| and so one sweep
+        # u in lexicographic order whatever the order of the ordinate set
         for d in np.lexsort((u[:, 1], u[:, 0])):
             key = tuple(np.round(u[d], 12))
-            if key not in traces:
-                traces[key] = _trace(mesh, starts, start_tri, u[d], q_analytic)
-            trace = traces[key]
-            if (key, p[d]) not in sweeps:
-                w, exit_fac, q_line = _integrate(trace, self.mu, 1.0 / p[d])
-                mat = csr_matrix((w, (trace.ray, trace.tri)), shape=(self.n_rays, nt))
-                sweeps[key, p[d]] = (mat, 0.0 if q_line is None else q_line, exit_fac,
-                                     trace.exit_edge)
-            self._sweeps[d] = sweeps[key, p[d]]
+            if key not in traced:
+                paths = _ray_paths(mesh, u[d])
+                q_nodes = None
+                if q_analytic is not None:
+                    q_nodes = _sample_source(mesh, paths.trace, starts, u[d], q_analytic)
+                    if not np.all(np.isfinite(q_nodes)):
+                        raise ValueError("q is not finite on the INTERIOR triangles")
+                traced[key] = paths, q_nodes
+            self._sweep[d] = sweeps.setdefault((key, p[d]), len(sweeps))
+
+        # one CSR row per ray and sweep, ray-major: row r * n_sweeps + k is
+        # ray r of sweep k, its entries in the order of the sweep's own layout
+        n_sweeps = len(sweeps)
+        lengths = np.column_stack([np.diff(traced[key][0].indptr) for key, _ in sweeps])
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int64)
+        self._q_line = np.zeros((self.n_rays, n_sweeps))
+        exit_fac = np.empty((self.n_rays, n_sweeps))
+        edges = np.empty((self.n_rays, n_sweeps), dtype=np.int64)
+        for k, (key, p_k) in enumerate(sweeps):
+            paths, q_nodes = traced[key]
+            w, exit_fac[:, k], q_line = _integrate(paths.trace, self.mu, 1.0 / p_k, q_nodes)
+            at = (np.repeat(indptr[k:-1:n_sweeps] - paths.indptr[:-1], lengths[:, k])
+                  + np.arange(paths.indices.size))
+            data[at] = np.bincount(paths.entry, weights=w, minlength=paths.indices.size)
+            indices[at] = paths.indices
+            if q_line is not None:
+                self._q_line[:, k] = q_line
+            edges[:, k] = paths.trace.exit_edge
+        self._matrix = csr_matrix((data, indices, indptr), shape=(n_sweeps * self.n_rays, nt))
+        self._exit_fac = exit_fac[:, self._sweep]
+        # the flat position in the inflow (nbe, nd) of each ray's exit edge
+        self._inflow_at = edges[:, self._sweep] * ordinates.n_dirs + np.arange(ordinates.n_dirs)
 
     def apply(self, src_tri: np.ndarray, inflow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One transport sweep: src_tri is the per-triangle isotropic source
         density, inflow the boundary data (nbe, nd)."""
-        vals = np.column_stack([mat @ src_tri + q_line + exit_fac * inflow[edge, d]
-                                for d, (mat, q_line, exit_fac, edge) in enumerate(self._sweeps)])
+        vals = (self._matrix @ src_tri).reshape(self.n_rays, -1)
+        vals += self._q_line
+        vals = np.take(vals, self._sweep, axis=1)
+        vals += self._exit_fac * np.take(inflow, self._inflow_at)
         nt = self.mesh.n_triangles
         return vals[:nt], vals[nt:]
 
@@ -269,16 +340,21 @@ def source_iteration(mesh: Mesh2D, coeffs: TransportCoefficients,
         raise ValueError(f"tol must be positive and finite, got {tol}")
     nd = ordinates.n_dirs
     nbe = mesh.boundary_edges.shape[0]
-
     if callable(q):
-        sweep = SweepOperator(mesh, coeffs.mu, ordinates, q_analytic=q)
-        base_src = np.zeros(mesh.n_triangles)
+        base_src, src_name = np.zeros(mesh.n_triangles), "q"
     else:
-        sweep = SweepOperator(mesh, coeffs.mu, ordinates)
         base_src = coeffs.source if q is None else np.asarray(q, dtype=float)
-
-    sig0 = coeffs.sigma[:, 0] if coeffs.sigma.size else np.zeros(mesh.n_triangles)
+        src_name = "coeffs.source" if q is None else "q"
+    h = np.zeros((nbe, nd)) if initial_inflow is None else np.array(initial_inflow, dtype=float)
+    # non-finite data would otherwise only show as a NaN change once the
+    # whole budget is spent; an analytic q is checked where the sweep samples it
+    for name, value in (("coeffs.mu", coeffs.mu), ("coeffs.sigma", coeffs.sigma),
+                        (src_name, base_src), ("initial_inflow", h)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} is not finite")
     cap = max_iter if max_iter is not None else _iteration_cap(coeffs)
+    sweep = SweepOperator(mesh, coeffs.mu, ordinates, q_analytic=q if callable(q) else None)
+    sig0 = coeffs.sigma[:, 0] if coeffs.sigma.size else np.zeros(mesh.n_triangles)
 
     if bc == REFLECT:
         s_dot_n = mesh.boundary_normals @ ordinates.directions[:, :2].T  # (nbe, nd)
@@ -288,12 +364,14 @@ def source_iteration(mesh: Mesh2D, coeffs: TransportCoefficients,
 
     u_tri = np.zeros((mesh.n_triangles, nd))
     u_bdry = np.zeros((nbe, nd))
-    h = np.zeros((nbe, nd)) if initial_inflow is None else np.array(initial_inflow, dtype=float)
     for it in range(1, cap + 1):
         scatter = base_src + sig0 / (4 * np.pi) * (u_tri @ ordinates.weights)
         new_tri, new_bdry = sweep.apply(scatter, h)
         delta = max(np.max(np.abs(new_tri - u_tri)),
                     np.max(np.abs(new_bdry - u_bdry)) if nbe else 0.0)
+        if not np.isfinite(delta):
+            raise RuntimeError(f"source iteration broke down at sweep {it}: "
+                               f"the change is {delta}")
         u_tri, u_bdry = new_tri, new_bdry
         if bc == REFLECT:
             h = np.where(inflow_mask, factors * u_bdry[:, ordinates.opposite], 0.0)
@@ -338,9 +416,10 @@ def characteristics_solve(mesh: Mesh2D, coeffs: TransportCoefficients,
             dens = src_tri[t_idx]
         return float(dens / mu[t_idx])
 
-    trace = _trace(mesh, r[None, :], np.array([t_idx]), s[:2] / p,
-                   q if callable(q) else None)
-    w, exit_fac, q_line = _integrate(trace, mu, 1.0 / p)
+    u = s[:2] / p
+    trace = _trace(mesh, r[None, :], np.array([t_idx]), u)
+    q_nodes = _sample_source(mesh, trace, r[None, :], u, q) if callable(q) else None
+    w, exit_fac, q_line = _integrate(trace, mu, 1.0 / p, q_nodes)
     total = q_line[0] if callable(q) else w @ src_tri[trace.tri]
     if inflow is not None:
         val = inflow(trace.exit_point[0], s) if callable(inflow) else float(inflow)

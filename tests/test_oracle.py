@@ -1,10 +1,15 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
 
 from pnpml.mesh import (
     Disk,
     GeometrySpec,
+    Mesh2D,
     Rect,
     build_mesh,
     ray_exit_distance,
@@ -15,6 +20,8 @@ from pnpml.oracle import (
     VACUUM,
     OrdinateSet,
     SweepOperator,
+    _integrate,
+    _sample_source,
     _trace,
     boundary_trace_norm,
     build_ordinates,
@@ -271,12 +278,72 @@ class TestSweepSharing:
         assert np.array_equal(bdry[:, mirror], bdry)
 
     def test_z_mirrored_ordinates_share_their_matrix(self):
+        # one row block of the stacked matrix per (planar direction, |s_xy|)
         ords = build_ordinates(4, 8)
         _, _, _, sweep = self.setup_sweep(ords)
         mirror = np.arange(ords.n_dirs).reshape(4, 8)[::-1].ravel()
-        mats = [m for m, *_ in sweep._sweeps]
-        assert all(mats[d] is mats[mirror[d]] for d in range(ords.n_dirs))
-        assert len({id(m) for m in mats}) == ords.n_dirs // 2
+        assert np.array_equal(sweep._sweep[mirror], sweep._sweep)
+        assert np.array_equal(np.unique(sweep._sweep), np.arange(ords.n_dirs // 2))
+        assert sweep._matrix.shape == (ords.n_dirs // 2 * sweep.n_rays, sweep.mesh.n_triangles)
+
+    def test_stacked_apply_matches_a_per_ordinate_loop(self):
+        ords = build_ordinates(4, 8)
+        mesh, coeffs, src, sweep = self.setup_sweep(ords)
+        starts, start_tri = TestWalk.sweep_starts(mesh)
+        rng = np.random.default_rng(6)
+        src_tri = rng.random(mesh.n_triangles)
+        inflow = rng.random((mesh.boundary_edges.shape[0], ords.n_dirs))
+        vals = np.vstack(sweep.apply(src_tri, inflow))
+        s_xy = ords.directions[:, :2]
+        p = np.hypot(s_xy[:, 0], s_xy[:, 1])
+        u = s_xy / p[:, None]
+        for d in range(ords.n_dirs):
+            # each ordinate is traced along the lexicographically smallest u
+            # of the planar directions equal to its own up to roundoff
+            group = np.flatnonzero(np.all(np.round(u, 12) == np.round(u[d], 12), axis=1))
+            rep = u[group[np.lexsort((u[group, 1], u[group, 0]))[0]]]
+            trace = _trace(mesh, starts, start_tri, rep)
+            q_nodes = _sample_source(mesh, trace, starts, rep, src)
+            w, exit_fac, q_line = _integrate(trace, coeffs.mu, 1.0 / p[d], q_nodes)
+            mat = csr_matrix((w, (trace.ray, trace.tri)), shape=(starts.shape[0], mesh.n_triangles))
+            ref = mat @ src_tri + q_line + exit_fac * inflow[trace.exit_edge, d]
+            assert np.array_equal(vals[:, d], ref)
+
+    def test_two_absorptions_trace_each_planar_direction_once(self, monkeypatch):
+        import pnpml.oracle
+
+        traced = []
+
+        def counting_trace(mesh, starts, start_tri, u):
+            traced.append(tuple(u))
+            return _trace(mesh, starts, start_tri, u)
+
+        monkeypatch.setattr(pnpml.oracle, "_trace", counting_trace)
+        ords = build_ordinates(4, 8)
+        _, mesh, coeffs, src = disk_setup(h=0.25, mu=2.0, sig0=0.0, a=3.0)
+        for a in (3.0, 6.0):
+            mu = extend_coefficients(mesh, 2.0, 0.0, src, a=a).mu
+            SweepOperator(mesh, mu, ords, q_analytic=src)
+        assert len(traced) == len(set(traced)) == 8
+
+    def test_cache_hit_build_matches_a_fresh_mesh(self):
+        ords = build_ordinates(4, 8)
+        mesh, _, src, _ = self.setup_sweep(ords)
+        mu = extend_coefficients(mesh, 2.0, 0.0, src, a=6.0).mu
+        hit = SweepOperator(mesh, mu, ords, q_analytic=src)
+        fresh_mesh = Mesh2D(mesh.vertices.copy(), mesh.triangles.copy(), mesh.tags.copy(), mesh.h)
+        fresh = SweepOperator(fresh_mesh, mu, ords, q_analytic=src)
+        assert len(mesh._ray_paths) == len(fresh_mesh._ray_paths) == 8
+        for sweep_array in ("_sweep", "_q_line", "_exit_fac", "_inflow_at"):
+            assert np.array_equal(getattr(hit, sweep_array), getattr(fresh, sweep_array))
+        for csr_array in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(hit._matrix, csr_array),
+                                  getattr(fresh._matrix, csr_array))
+        rng = np.random.default_rng(7)
+        src_tri = rng.random(mesh.n_triangles)
+        inflow = rng.random((mesh.boundary_edges.shape[0], ords.n_dirs))
+        for a, b in zip(hit.apply(src_tri, inflow), fresh.apply(src_tri, inflow)):
+            assert np.array_equal(a, b)
 
     def test_permuted_ordinates_permute_columns(self):
         ords = build_ordinates(4, 8)
@@ -304,6 +371,31 @@ class TestSweepSharing:
             ref = np.array([characteristics_solve(mesh, coeffs, c, s, q=src, inflow=inflow)
                             for c in mesh.centroids])
             assert np.max(np.abs(tri[:, d] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_concurrent_builds_on_one_mesh_match_a_serial_build(self):
+        # more threads than cores, switching often: each build must read
+        # only complete cache entries, whichever thread traced them
+        ords = build_ordinates(4, 8)
+        _, mesh, coeffs, src = disk_setup(h=0.25, mu=2.0, sig0=0.0, a=3.0)
+        fresh_mesh = Mesh2D(mesh.vertices.copy(), mesh.triangles.copy(), mesh.tags.copy(), mesh.h)
+        ref = SweepOperator(fresh_mesh, coeffs.mu, ords, q_analytic=src)
+        rng = np.random.default_rng(8)
+        src_tri = rng.random(mesh.n_triangles)
+        inflow = rng.random((mesh.boundary_edges.shape[0], ords.n_dirs))
+        expected = ref.apply(src_tri, inflow)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(SweepOperator, mesh, coeffs.mu, ords, q_analytic=src)
+                           for _ in range(12)]
+                sweeps = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(mesh._ray_paths) == 8
+        for sweep in sweeps:
+            for a, b in zip(sweep.apply(src_tri, inflow), expected):
+                assert np.array_equal(a, b)
 
 
 class TestSweepInflow:
@@ -377,6 +469,46 @@ class TestSourceIteration:
         monkeypatch.setattr(pnpml.oracle, "SweepOperator", no_sweep)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             source_iteration(mesh, coeffs, build_ordinates(2, 4), VACUUM, tol=tol, q=src)
+
+    @pytest.mark.parametrize("name", ["coeffs.mu", "coeffs.sigma", "coeffs.source", "q",
+                                      "initial_inflow"])
+    def test_non_finite_input_rejected_before_a_sweep(self, monkeypatch, name):
+        import pnpml.oracle
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("no sweep may be built on non-finite data")
+
+        _, mesh, coeffs, _ = disk_setup(h=0.5, mu=2.0, sig0=0.5, a=1.0)
+        nt, nbe = mesh.n_triangles, mesh.boundary_edges.shape[0]
+        kwargs = {"q": None if name == "coeffs.source" else np.ones(nt)}
+        if name == "initial_inflow":
+            kwargs[name] = np.zeros((nbe, 8))
+        bad = {"coeffs.mu": coeffs.mu, "coeffs.sigma": coeffs.sigma,
+               "coeffs.source": coeffs.source}.get(name, kwargs.get(name))
+        bad.flat[bad.size // 2] = np.nan
+        monkeypatch.setattr(pnpml.oracle, "SweepOperator", no_sweep)
+        with pytest.raises(ValueError, match=f"^{name} is not finite"):
+            source_iteration(mesh, coeffs, build_ordinates(2, 4), REFLECT, tol=1e-6,
+                             max_iter=500, **kwargs)
+
+    def test_non_finite_analytic_source_rejected_before_a_sweep(self):
+        _, mesh, coeffs, _ = disk_setup(h=0.5, mu=2.0, sig0=0.5, a=1.0)
+        src = lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0)
+        sweeps = []
+        with pytest.raises(ValueError, match="^q is not finite"):
+            source_iteration(mesh, coeffs, build_ordinates(2, 4), VACUUM, tol=1e-6, q=src,
+                             monitor=lambda it, field: sweeps.append(it))
+        assert sweeps == []
+
+    def test_overflow_stops_at_the_first_sweep(self):
+        # finite data whose sweep overflows: the change is inf at once
+        _, mesh, coeffs, _ = disk_setup(h=0.5, mu=0.1, sig0=0.05, a=1.0)
+        sweeps = []
+        with pytest.raises(RuntimeError, match="broke down at sweep 1: the change is inf"):
+            source_iteration(mesh, coeffs, build_ordinates(2, 4), VACUUM, tol=1e-6,
+                             q=np.full(mesh.n_triangles, 1e308), max_iter=500,
+                             monitor=lambda it, field: sweeps.append(it))
+        assert sweeps == []
 
     def test_contraction_rate(self):
         _, mesh, coeffs, src = disk_setup(h=0.25, mu=2.0, sig0=0.6, a=2.0)
