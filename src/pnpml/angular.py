@@ -28,6 +28,10 @@ __all__ = [
     "kernel_function",
 ]
 
+# the largest truncation order build_basis accepts; angular setup grows about
+# as N^4.5 (0.37 s at N = 27), so a mistyped order fails before any table
+MAX_ORDER = 31
+
 
 def real_sph_harm(l: int, m: int, s) -> np.ndarray | float:
     """Evaluate the real, L2(S^2)-orthonormal spherical harmonic of degree l,
@@ -128,9 +132,11 @@ def _positions(full, sub) -> np.ndarray:
 
 def build_basis(N: int) -> AngularBasis:
     """Build the order-N basis index sets.  N must be odd (the parity-coupling
-    property s * even ⊂ odd^3 requires it)."""
+    property s * even ⊂ odd^3 requires it) and at most MAX_ORDER."""
     if N < 1 or N % 2 == 0:
         raise ValueError(f"unsupported truncation order N={N}: N must be odd and >= 1")
+    if N > MAX_ORDER:
+        raise ValueError(f"truncation order N={N} exceeds MAX_ORDER = {MAX_ORDER}")
     even = tuple((l, m) for l in range(0, N + 1, 2) for m in range(-l, l + 1))
     odd = tuple((l, m) for l in range(1, N + 1, 2) for m in range(-l, l + 1))
     return AngularBasis(order=N, even_indices=even, odd_indices=odd)

@@ -18,9 +18,8 @@ class, and the mass products and both preconditioners run one block per class.
 
 Spatial matrices are assembled on the mesh's one P1 pattern
 (:meth:`Mesh2D.assemble`): the mass blocks, R, the class blocks and the
-terms G_i^T D G_j of the Schur operator PCG applies, the stiffness of all
-class blocks and of all those terms from one bincount each
-(:func:`p1_stiffness_terms`).  B, B^T and C^{-1} serve the
+terms G_i^T D G_j of the Schur operator PCG applies, each stiffness term
+from one bincount (:func:`p1_stiffness_terms`).  B, B^T and C^{-1} serve the
 right-hand side, odd recovery, norms and residuals, matrix-free on (space,
 mode) arrays in C order: a sparse spatial product, then a product with a
 dense copy of T_i.  Explicit sparse assembly is for small-instance tests.
@@ -29,8 +28,7 @@ dense copy of T_i.  Explicit sparse assembly is for small-instance tests.
 from __future__ import annotations
 
 import warnings
-from copy import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags, identity, kron
@@ -47,7 +45,6 @@ __all__ = [
     "build_operator",
     "explicit_matrices",
     "p1_mass",
-    "p1_stiffness",
     "p1_stiffness_terms",
     "even_l2_norm2",
     "odd_l2_norm2",
@@ -81,7 +78,7 @@ def p1_mass(mesh: Mesh2D, weight: np.ndarray | None = None,
     restricted to a subset of triangles, on the mesh's P1 pattern."""
     tri = slice(None) if triangles is None else triangles
     w = mesh.areas[tri] if weight is None else mesh.areas[tri] * weight[tri]
-    return mesh.assemble(w[:, None, None] * _LOCAL_MASS, triangles)
+    return mesh.pattern_matrix(mesh.assemble(w[:, None, None] * _LOCAL_MASS, triangles))
 
 
 def gradient_matrices(mesh: Mesh2D) -> tuple[csr_matrix, csr_matrix]:
@@ -95,30 +92,22 @@ def gradient_matrices(mesh: Mesh2D) -> tuple[csr_matrix, csr_matrix]:
     return g_x, g_y
 
 
-def p1_stiffness(mesh: Mesh2D, weight: np.ndarray, pairs=((0, 0), (1, 1))) -> csr_matrix:
-    """The sum over (i, j) in ``pairs`` (0 = x, 1 = y) of G_i^T diag(weight) G_j,
-    G_i of :func:`gradient_matrices`, on the mesh's P1 pattern.  Each entry
-    sums its triangles pair by pair, in the order of the sparse products."""
-    indptr, indices, _ = mesh._pattern
-    return csr_matrix((p1_stiffness_terms(mesh, [(weight, pairs)])[0], indices, indptr),
-                      shape=(mesh.n_vertices,) * 2)
-
-
-def p1_stiffness_terms(mesh: Mesh2D, terms: list) -> np.ndarray:
-    """The data on the mesh's P1 pattern of :func:`p1_stiffness` for each
-    (weight, pairs) of ``terms``, (K, nnz), from one bincount over the stacked
-    local values, term t's at the pattern positions plus t nnz: each term is
-    bitwise that of its own call."""
-    g = mesh.gradients
-    _, indices, scatter = mesh._pattern
-    stack = [(t, w, i, j) for t, (w, pairs) in enumerate(terms) for i, j in pairs]
-    local = np.empty((len(stack), mesh.n_triangles, 3, 3))
-    for out, (_, w, i, j) in zip(local, stack):
-        np.multiply((g[i] * w[:, None])[:, :, None], g[j][:, None, :], out=out)
-    offsets = np.array([t for t, *_ in stack], dtype=scatter.dtype) * indices.size
-    data = np.bincount((scatter + offsets[:, None, None]).ravel(), weights=local.ravel(),
-                       minlength=len(terms) * indices.size)
-    return data.reshape(len(terms), indices.size)
+def p1_stiffness_terms(mesh: Mesh2D, terms: list) -> list[np.ndarray]:
+    """The data on the mesh's P1 pattern of the sum over (i, j) in ``pairs``
+    (0 = x, 1 = y) of G_i^T diag(weight) G_j, G_i of
+    :func:`gradient_matrices`, for each (weight, pairs) of ``terms``: one
+    :meth:`Mesh2D.assemble` per term, so each entry sums its triangles pair
+    by pair, in the order of the sparse products."""
+    # the products run with the triangles innermost, (2, 3, nt), and land in
+    # the (pair, nt, 3, 3) values through a transposed view of them
+    g = mesh.gradients.transpose(0, 2, 1).copy()
+    data = []
+    for w, pairs in terms:
+        i, j = np.array(pairs).T
+        local = np.empty((len(pairs), mesh.n_triangles, 3, 3))
+        np.multiply((g[i] * w)[:, :, None], g[j][:, None], out=local.transpose(0, 2, 3, 1))
+        data.append(mesh.assemble(local))
+    return data
 
 
 def _coefficient_classes(w: np.ndarray, k: np.ndarray, degrees: np.ndarray) -> list:
@@ -152,7 +141,8 @@ class BlockOperator:
     def __post_init__(self):
         """Form the odd diagonal ``c_diag`` = |T| w_l, shape (nt, n_minus),
         reject it if singular, then form the diffusion table k (zero at odd
-        l) and the coefficient classes (:func:`_coefficient_classes`)."""
+        l) and the coefficient classes (:func:`_coefficient_classes`) of the
+        even modes, ``classes``, and of the odd modes, ``odd_classes``."""
         self.c_diag = self.mesh.areas[:, None] * self.collision[:, self.basis.odd_degrees()]
         if np.any(self.c_diag == 0):
             raise NumericalError("odd collision block has zero diagonal entries; "
@@ -162,8 +152,9 @@ class BlockOperator:
         l = np.arange(0, self.collision.shape[1], 2)
         self.diffusion = np.zeros_like(self.collision)
         self.diffusion[:, ::2] = (a + l * (b - a) / (2 * l + 1)) / 3.0
-        self.classes = _coefficient_classes(self.collision, self.diffusion,
-                                            self.basis.even_degrees())
+        self.classes, self.odd_classes = (
+            _coefficient_classes(self.collision, self.diffusion, degrees)
+            for degrees in (self.basis.even_degrees(), self.basis.odd_degrees()))
         # dense angular factors (55 x 45 at N = 9) keep B and B^T in C order
         self._t_dense = (self.t_x.toarray(), self.t_y.toarray())
 
@@ -181,9 +172,6 @@ class BlockOperator:
             out[:, cols] = self.mass_blocks[l] @ u_even[:, cols]
         return out
 
-    def apply_boundary(self, u_even: np.ndarray) -> np.ndarray:
-        return self.boundary @ u_even
-
     def apply_transport(self, u_even: np.ndarray) -> np.ndarray:
         """B u = (G_x u) T_x^T + (G_y u) T_y^T: (nv, n_plus) -> (nt, n_minus)."""
         t_x, t_y = self._t_dense
@@ -193,9 +181,6 @@ class BlockOperator:
         """B^T v = G_x^T (v T_x) + G_y^T (v T_y): (nt, n_minus) -> (nv, n_plus)."""
         t_x, t_y = self._t_dense
         return self.g_x.T @ (v_odd @ t_x) + self.g_y.T @ (v_odd @ t_y)
-
-    def solve_odd_diag(self, v_odd: np.ndarray) -> np.ndarray:
-        return v_odd / self.c_diag
 
     def class_blocks(self) -> list:
         """(cols, block) per coefficient class (l, cols): the mean over the
@@ -209,29 +194,22 @@ class BlockOperator:
         ``diffusion`` holds k_l = (a + l (b - a)/(2l+1)) / 3, a = 1/w_{l+1},
         b = 1/w_{l-1} (b = a at l = 0): exactly a/3 where b = a.  The block
         depends on w_l and k_l only, so it is that of every degree of its class.
-        Each block is CSR on the P1 pattern, zero sums stored, the stiffness
-        of all classes from one :func:`p1_stiffness_terms` call."""
+        Each block is CSR on the P1 pattern, zero sums stored."""
         mesh = self.mesh
-        indptr, indices, _ = mesh._pattern
         k = p1_stiffness_terms(mesh, [(self.diffusion[:, l] / mesh.areas, ((0, 0), (1, 1)))
                                       for l, _ in self.classes])
-        return [(cols, csr_matrix((self.mass_blocks[l].data + self.boundary.data + k_l,
-                                   indices, indptr), shape=(mesh.n_vertices,) * 2))
+        return [(cols, mesh.pattern_matrix(self.mass_blocks[l].data + self.boundary.data + k_l))
                 for (l, cols), k_l in zip(self.classes, k)]
 
     def restrict(self, sub_basis: AngularBasis) -> "BlockOperator":
         """The operator on a subset of the angular modes, such as one z-parity
         class (:meth:`AngularBasis.z_even`).  Mesh, mass blocks, boundary,
-        gradient factors, collision and diffusion tables are shared; the rows
-        and columns of T_x and T_y and the columns of ``c_diag`` are sliced,
-        and only the classes are formed anew."""
+        gradient factors and collision table are shared, T_x and T_y are
+        sliced to the sub-basis's rows and columns, and the constructor forms
+        every derived table anew."""
         even, odd = self.basis.positions(sub_basis)
-        sub = copy(self)
-        sub.basis, sub.c_diag = sub_basis, self.c_diag[:, odd]
-        sub.t_x, sub.t_y = self.t_x[odd][:, even], self.t_y[odd][:, even]
-        sub._t_dense = tuple(t[odd][:, even] for t in self._t_dense)
-        sub.classes = _coefficient_classes(self.collision, self.diffusion, sub_basis.even_degrees())
-        return sub
+        return replace(self, basis=sub_basis, t_x=self.t_x[odd][:, even],
+                       t_y=self.t_y[odd][:, even])
 
     def nnz_counts(self) -> dict[str, int]:
         """Stored entries of each block in assembled (Kronecker) form; R counts

@@ -74,6 +74,17 @@ _LATTICE_ABSORBERS = [(1, 1), (3, 1), (5, 1), (2, 2), (4, 2), (1, 3), (5, 3),
                       (2, 4), (4, 4), (1, 5), (5, 5)]
 
 
+# every key a run reads; any other key is a typo and fails the run
+CONFIG_KEYS = frozenset({
+    "geometry.kind", "geometry.inner", "geometry.outer",
+    "physics.preset", "physics.mu", "physics.kernel", "physics.source",
+    "disc.base_h", "disc.n", "disc.level", "pml.exp_al",
+    "study.n", "study.levels", "study.ref_n", "study.ref_level", "study.ref_exp_al",
+    "solver.tol", "solver.max_iter", "solver.precond",
+    "output.dir", "output.field_format",
+})
+
+
 class ConfigError(ValueError):
     """Invalid or missing configuration data."""
 
@@ -113,6 +124,13 @@ class RunConfig:
             return cls.parse(Path(path).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+    def check_keys(self) -> None:
+        """Raise ConfigError on any key outside CONFIG_KEYS."""
+        unknown = sorted(set(self.data) - CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                              f"expected keys among {', '.join(sorted(CONFIG_KEYS))}")
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.data.get(key, default)
@@ -252,13 +270,12 @@ class _ProblemCache:
         self.mu, self.kernel, self.source = physics_from_config(cfg)
         self.ell = self.spec.layer_depth
         self.eta = self.spec.grazing_sine
-        self.angular = {}
-        for n in sorted(set(orders)):
-            try:
-                basis = build_basis(n)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            self.angular[n] = (basis, coupling_matrices(basis, quadrature_for_order(n)))
+        try:
+            bases = {n: build_basis(n) for n in sorted(set(orders))}
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        self.angular = {n: (basis, coupling_matrices(basis, quadrature_for_order(n)))
+                        for n, basis in bases.items()}
         try:
             self.meshes = [build_mesh(self.spec, cfg.get_float("disc.base_h"))]
             # level k holds 4**k times the base triangles: refuse before refining
@@ -306,6 +323,7 @@ def _solver_options(cfg: RunConfig):
 
 def run_case(cfg: RunConfig) -> CaseResult:
     """Single end-to-end solve of the configured problem."""
+    cfg.check_keys()
     n = cfg.get_int("disc.n")
     level = cfg.get_int("disc.level", 0)
     exp_al = _check_exp_al(cfg.get_floats("pml.exp_al")[0])
@@ -345,6 +363,7 @@ def convergence_study(cfg: RunConfig, threads: int = 1):
 
     Returns (rows, csv_text); each row is a dict with the CSV fields.
     """
+    cfg.check_keys()
     sweep_n = cfg.get_ints("study.n")
     levels = cfg.get_ints("study.levels")
     exp_als = [_check_exp_al(v) for v in cfg.get_floats("pml.exp_al")]

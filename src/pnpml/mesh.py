@@ -305,24 +305,32 @@ class Mesh2D:
         k1 = (k + 1) % 3
         return self._pattern[2][t[:, None], np.column_stack([4 * k, 3 * k + k1, 3 * k1 + k, 4 * k1])]
 
-    def _on_pattern(self, scatter: np.ndarray, local: np.ndarray) -> csr_matrix:
-        """The CSR matrix on the P1 pattern summing ``local`` values at the
-        pattern positions ``scatter``."""
+    def pattern_matrix(self, data: np.ndarray) -> csr_matrix:
+        """The CSR matrix holding ``data`` on the P1 pattern; all such
+        matrices share the pattern's indptr and indices."""
         indptr, indices, _ = self._pattern
-        data = np.bincount(scatter.ravel(), weights=local.ravel(), minlength=indices.size)
         return csr_matrix((data, indices, indptr), shape=(self.n_vertices,) * 2)
 
-    def assemble(self, local: np.ndarray, triangles: np.ndarray | None = None) -> csr_matrix:
-        """The CSR matrix on the P1 pattern summing local values (k, 3, 3) of
-        ``triangles`` (default all), entry (a, b) at (t[a], t[b])."""
-        scatter = self._pattern[2]
-        return self._on_pattern(scatter if triangles is None else scatter[triangles], local)
+    def _sum(self, scatter: np.ndarray, local: np.ndarray) -> np.ndarray:
+        """The data on the P1 pattern summing ``local`` values (..., k, p, p)
+        at the pattern positions ``scatter`` (k, p * p), in one bincount over
+        the scatter broadcast across the leading axes: each entry adds its
+        values in the order of the flattened ``local``."""
+        index = np.broadcast_to(scatter, local.shape[:-3] + scatter.shape)
+        return np.bincount(index.ravel(), weights=local.ravel(), minlength=self._pattern[1].size)
 
-    def assemble_boundary(self, local: np.ndarray) -> csr_matrix:
-        """The CSR matrix on the P1 pattern summing local values (nb, 2, 2) of
-        the boundary edges (:attr:`boundary_edges`), entry (a, b) at
-        (e[a], e[b]) of edge e."""
-        return self._on_pattern(self._boundary_scatter, local)
+    def assemble(self, local: np.ndarray, triangles: np.ndarray | None = None) -> np.ndarray:
+        """The data on the P1 pattern (:meth:`pattern_matrix`) summing local
+        values (..., k, 3, 3) of ``triangles`` (default all), entry (a, b) at
+        (t[a], t[b]), over every leading axis too."""
+        scatter = self._pattern[2]
+        return self._sum(scatter if triangles is None else scatter[triangles], local)
+
+    def assemble_boundary(self, local: np.ndarray) -> np.ndarray:
+        """The data on the P1 pattern summing local values (nb, 2, 2) of the
+        boundary edges (:attr:`boundary_edges`), entry (a, b) at (e[a], e[b])
+        of edge e."""
+        return self._sum(self._boundary_scatter, local)
 
     @cached_property
     def prolongation(self) -> csr_matrix:
@@ -551,7 +559,7 @@ def boundary_mass_matrix(mesh: Mesh2D) -> csr_matrix:
     """P1 mass matrix over the outer boundary curve, on the mesh's P1 pattern:
     nonzero exactly at the boundary pairs, so rows and columns of interior
     vertices hold stored zeros only."""
-    return mesh.assemble_boundary(edge_local_mass(mesh.boundary_lengths))
+    return mesh.pattern_matrix(mesh.assemble_boundary(edge_local_mass(mesh.boundary_lengths)))
 
 
 def submesh_interior(mesh: Mesh2D) -> tuple[Mesh2D, np.ndarray, np.ndarray]:

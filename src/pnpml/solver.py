@@ -35,7 +35,6 @@ from pnpml.assembly import (
     BlockOperator,
     Field,
     NumericalError,
-    _coefficient_classes,
     even_l2_norm2,
     odd_l2_norm2,
     p1_stiffness_terms,
@@ -87,10 +86,10 @@ class SchurOperator:
       the boundary mass ``blocks.boundary``, on the pattern as built by
       :func:`boundary_mass_matrix`; every other even class c adds
       (M_c - M_c*) u[:, cols_c] as a column gather;
-    - per odd class k, with P_k its mode selector and D_k = diag(1/(|T| w_k))
-      its block of C^{-1}, (G_i^T D_k G_i) kron (T_i^T P_k T_i) for i in
-      {x, y} and the cross pair (G_x^T D_k G_y) kron (T_y^T P_k T_x) plus its
-      transpose.  A class holding every odd mode of the basis merges the
+    - per odd class k of ``blocks.odd_classes``, with P_k its mode selector
+      and D_k = diag(1/(|T| w_k)) its block of C^{-1},
+      (G_i^T D_k G_i) kron (T_i^T P_k T_i) for i in {x, y} and the cross
+      pair (G_x^T D_k G_y) kron (T_y^T P_k T_x) plus its transpose.  A class holding every odd mode of the basis merges the
       pair into (G_x^T D_k G_y + G_y^T D_k G_x) kron (T_y^T T_x + T_x^T T_y)/2:
       then T_y^T T_x = T_x^T T_y exactly, both the even projection of
       multiplication by s_x s_y, since at odd N neither T_x nor T_y
@@ -103,7 +102,6 @@ class SchurOperator:
     def __post_init__(self):
         b = self.blocks
         mesh, n = b.mesh, b.basis.n_plus
-        indptr, indices, _ = mesh._pattern
         data, weights = [], []  # per stacked term: A_t on the pattern, W_t
         self._gathers = []      # (cols, M_c - M_c*) per other even class
         odd = []                # (D_k, pairs) per odd term
@@ -112,10 +110,9 @@ class SchurOperator:
             base = b.mass_blocks[l_base].data
             data.append(base + b.boundary.data)
             weights.append(np.eye(n))
-            self._gathers = [(cols, csr_matrix((b.mass_blocks[l].data - base, indices, indptr),
-                                               shape=(mesh.n_vertices,) * 2))
+            self._gathers = [(cols, mesh.pattern_matrix(b.mass_blocks[l].data - base))
                              for l, cols in b.classes if l != l_base]
-        for _, cols in _coefficient_classes(b.collision, b.diffusion, b.basis.odd_degrees()):
+        for _, cols in b.odd_classes:
             d = 1.0 / b.c_diag[:, cols[0]]
             t_x, t_y = b.t_x[cols].toarray(), b.t_y[cols].toarray()
             pairs = [[(0, 0)], [(1, 1)]]
@@ -127,8 +124,9 @@ class SchurOperator:
                 pairs += [[(0, 1)], [(1, 0)]]
                 weights += [t_y.T @ t_x, t_x.T @ t_y]
             odd += [(d, p) for p in pairs]
-        data += list(p1_stiffness_terms(mesh, odd))
+        data += p1_stiffness_terms(mesh, odd)
         k = len(data)
+        indptr, indices = b.boundary.indptr, b.boundary.indices  # the P1 pattern
         self._a = csr_matrix((np.column_stack(data).ravel(),
                               (indices[:, None] * k + np.arange(k, dtype=indices.dtype)).ravel(),
                               indptr * k), shape=(mesh.n_vertices, k * mesh.n_vertices))
@@ -149,13 +147,13 @@ class SchurOperator:
 
 def schur_rhs(blocks: BlockOperator, q_plus: np.ndarray, q_minus: np.ndarray) -> np.ndarray:
     """Right-hand side of the eliminated system: q+ + B^T C^{-1} q-."""
-    rhs = q_plus + blocks.apply_transport_t(blocks.solve_odd_diag(q_minus))
+    rhs = q_plus + blocks.apply_transport_t(q_minus / blocks.c_diag)
     return rhs.ravel()
 
 
 def recover_odd(blocks: BlockOperator, q_minus: np.ndarray, u_plus: np.ndarray) -> np.ndarray:
     """Back-substitution for the odd component: C^{-1} (q- - B u+)."""
-    return blocks.solve_odd_diag(q_minus - blocks.apply_transport(u_plus))
+    return (q_minus - blocks.apply_transport(u_plus)) / blocks.c_diag
 
 
 class JacobiPreconditioner:
@@ -447,7 +445,7 @@ def galerkin_residuals(blocks: BlockOperator, fld: Field,
     """Euclidean norms of the residuals of the two discrete variational
     equations for a candidate solution pair."""
     u, v = fld.even, fld.odd
-    res1 = (blocks.apply_mass(u) + blocks.apply_boundary(u)
+    res1 = (blocks.apply_mass(u) + blocks.boundary @ u
             - blocks.apply_transport_t(v) - q_plus)
     res2 = blocks.apply_transport(u) + blocks.c_diag * v - q_minus
     return float(np.linalg.norm(res1)), float(np.linalg.norm(res2))

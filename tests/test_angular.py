@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pnpml.angular import (
+    MAX_ORDER,
     build_basis,
     coupling_matrices,
     degree_groups,
@@ -73,6 +74,11 @@ class TestBasis:
     def test_counts_n31(self):
         b = build_basis(31)
         assert b.n_plus + b.n_minus == 1024
+
+    def test_order_above_max_rejected(self):
+        assert build_basis(MAX_ORDER).order == MAX_ORDER
+        with pytest.raises(ValueError, match="MAX_ORDER"):
+            build_basis(MAX_ORDER + 2)
 
     def test_even_order_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, diags, kron, vstack
 
-from pnpml.angular import build_basis, coupling_matrices, degree_groups, quadrature_for_order
+from pnpml.angular import (
+    AngularCouplings,
+    build_basis,
+    coupling_matrices,
+    degree_groups,
+    quadrature_for_order,
+)
 import pnpml.assembly
 from pnpml.assembly import (
     Field,
@@ -12,7 +18,7 @@ from pnpml.assembly import (
     gradient_matrices,
     odd_l2_norm2,
     p1_mass,
-    p1_stiffness,
+    p1_stiffness_terms,
     project_source,
     transport_seminorm2,
 )
@@ -139,7 +145,7 @@ class TestBoundary:
         U = np.zeros((mesh.n_vertices, basis.n_plus))
         U[:, 0] = RNG.normal(size=mesh.n_vertices)
         U[:, 1] = U[:, 0]
-        out = op.apply_boundary(U)
+        out = op.boundary @ U
         assert np.array_equal(out[:, 0], out[:, 1])
 
 
@@ -263,7 +269,7 @@ class TestKroneckerConsistency:
             bu, btv = op.apply_transport(U), op.apply_transport_t(V)
             assert bu.flags.c_contiguous and btv.flags.c_contiguous
             assert np.allclose(op.apply_mass(U).ravel(), m_e @ u, atol=1e-12)
-            assert np.allclose(op.apply_boundary(U).ravel(), r_e @ u, atol=1e-12)
+            assert np.allclose((op.boundary @ U).ravel(), r_e @ u, atol=1e-12)
             assert np.allclose(bu.ravel(), b_e @ u, atol=1e-12)
             assert np.allclose(btv.ravel(), b_e.T @ v, atol=1e-12)
             assert np.allclose((op.c_diag * V).ravel(), c_e @ v, atol=1e-12)
@@ -320,6 +326,27 @@ class TestRestrict:
             assert counts["mass"] == explicit_matrices(sub)[0].nnz
             assert counts["odd"] == mesh.n_triangles * sub_basis.n_minus
 
+    @pytest.mark.parametrize("kernel", [10.0, [10.0, 3.0, 1.0]], ids=["isotropic", "10-3-1"])
+    @pytest.mark.parametrize("modes", ["z_even", "z_odd"])
+    def test_equals_a_direct_build_on_the_sub_basis(self, kernel, modes):
+        _, mesh, coeffs, basis, coup = rect_setup(N=5, sig=kernel)
+        op = build_operator(mesh, basis, coup, coeffs)
+        sub_basis = getattr(basis, modes)()
+        even, odd = basis.positions(sub_basis)
+        sliced = AngularCouplings(*(t[odd][:, even] for t in (coup.t_x, coup.t_y, coup.t_z)))
+        sub, direct = op.restrict(sub_basis), build_operator(mesh, sub_basis, sliced, coeffs)
+        pairs = [(sub.c_diag, direct.c_diag), (sub.diffusion, direct.diffusion),
+                 *zip(sub._t_dense, direct._t_dense),
+                 *((a.data, b.data) for (_, a), (_, b) in zip(sub.class_blocks(),
+                                                              direct.class_blocks()))]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for got, want in [(sub.classes, direct.classes), (sub.odd_classes, direct.odd_classes)]:
+            assert [l for l, _ in got] == [l for l, _ in want]
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+        for got, want in [(sub.t_x, direct.t_x), (sub.t_y, direct.t_y)]:
+            assert (got != want).nnz == 0
+
 
 def coo_mass(mesh, weight=None, triangles=None):
     """The P1 mass matrix summed from COO triplets, the reference form."""
@@ -364,7 +391,8 @@ class TestPattern:
         left = vstack([g[i] for i, _ in pairs], format="csr")
         right = vstack([g[j] for _, j in pairs], format="csr")
         want = left.T @ diags(np.tile(weight, len(pairs))) @ right
-        assert p1_stiffness(mesh, weight, pairs).toarray().tobytes() == want.toarray().tobytes()
+        got = mesh.pattern_matrix(p1_stiffness_terms(mesh, [(weight, pairs)])[0])
+        assert got.toarray().tobytes() == want.toarray().tobytes()
 
     @pytest.mark.parametrize("modes", ["full", "z_even", "lattice_z_even", "disk_z_even"])
     def test_class_blocks_are_bitwise_the_sparse_products(self, modes):
@@ -452,10 +480,14 @@ class TestClasses:
 
         monkeypatch.setattr(pnpml.assembly, "_coefficient_classes", counted)
         op = build_operator(mesh, basis, coup, coeffs)
-        assert len(calls) == 1
-        for sub_basis in (basis.z_even(), basis.z_odd()):
-            op.restrict(sub_basis)
-        assert len(calls) == 3
+        # one grouping of the even degrees and one of the odd ones
+        for sub_basis in (basis, basis.z_even(), basis.z_odd()):
+            if sub_basis is not basis:
+                op.restrict(sub_basis)
+            even, odd = (args[2] for args in calls[-2:])
+            assert np.array_equal(even, sub_basis.even_degrees())
+            assert np.array_equal(odd, sub_basis.odd_degrees())
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("kernel", [10.0, [1.0, 0.3, 0.1]], ids=["isotropic", "anisotropic"])
     @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])

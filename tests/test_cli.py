@@ -8,6 +8,7 @@ import pytest
 
 from pnpml.assembly import Field
 from pnpml.cli import (
+    CONFIG_KEYS,
     CSV_HEADER,
     ConfigError,
     RunConfig,
@@ -338,6 +339,52 @@ class TestMain:
         monkeypatch.setattr(pnpml.solver, "pcg_solve", no_pcg)
         path = self._write(tmp_path, EXAMPLE1 + "output.field_format = png\n")
         assert main(["--out-dir", str(tmp_path / "out"), "export", path]) == 2
+
+    @pytest.mark.parametrize("command, text", [
+        ("solve", EXAMPLE1.replace("disc.n = 3", "disc.n = 99")),
+        ("study", STUDY.replace("study.ref_n = 5", "study.ref_n = 99")),
+    ], ids=["solve", "study"])
+    def test_order_above_max_fails_before_angular_setup(self, tmp_path, monkeypatch, capsys,
+                                                       command, text):
+        import pnpml.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no angular table or mesh may be built for a refused order")
+
+        monkeypatch.setattr(pnpml.cli, "coupling_matrices", refuse)
+        monkeypatch.setattr(pnpml.cli, "build_mesh", refuse)
+        path = self._write(tmp_path, text)
+        assert main(["--out-dir", str(tmp_path / "out"), command, path]) == 2
+        assert "MAX_ORDER" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text", [
+        ("solve", EXAMPLE1 + "solver.precnd = jacobi\n"),
+        ("solve", EXAMPLE1.replace("solver.tol = 1e-7", "solver.to = 1e-12")),
+        ("export", EXAMPLE1 + "output.format = vtk\n"),
+        ("study", STUDY.replace("study.levels", "study.level")),
+    ], ids=["solve-precnd", "solve-to", "export-format", "study-level"])
+    def test_unknown_key_fails_before_any_basis_or_mesh(self, tmp_path, monkeypatch, capsys,
+                                                        command, text):
+        import pnpml.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no basis or mesh may be built for an unknown key")
+
+        monkeypatch.setattr(pnpml.cli, "build_basis", refuse)
+        monkeypatch.setattr(pnpml.cli, "build_mesh", refuse)
+        path = self._write(tmp_path, text)
+        assert main(["--out-dir", str(tmp_path / "out"), command, path]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+
+    def test_config_keys_are_the_keys_the_runner_reads(self):
+        import re
+
+        import pnpml.cli
+
+        source = Path(pnpml.cli.__file__).read_text()
+        read = set(re.findall(r'cfg\.(?:get\w*|require)\("([a-z_]+\.[a-z_]+)"', source))
+        read |= set(re.findall(r'cfg\.data\["([a-z_]+\.[a-z_]+)"\]', source))
+        assert read == CONFIG_KEYS and len(CONFIG_KEYS) == 21
 
     def test_config_error_exit_code(self, tmp_path):
         path = self._write(tmp_path, EXAMPLE1.replace("disc.n = 3", "disc.n = 4"))

@@ -2,18 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.sparse import diags
+from scipy.sparse import diags, vstack
 from scipy.sparse.linalg import splu
 
 from pnpml.angular import build_basis, coupling_matrices, degree_groups, quadrature_for_order
-from pnpml.assembly import (
-    _coefficient_classes,
-    build_operator,
-    explicit_matrices,
-    p1_mass,
-    p1_stiffness,
-    project_source,
-)
+from pnpml.assembly import build_operator, explicit_matrices, p1_mass, project_source
 from pnpml.mesh import Disk, GeometrySpec, Mesh2D, Rect, build_mesh, uniform_refine
 from pnpml.pml import extend_coefficients
 from pnpml.solver import (
@@ -106,7 +99,7 @@ class TestSchurApply:
         coeffs = extend_coefficients(mesh, 10.1, [10.0, 3.0, 1.0], 1.0, a=1.5)
         blocks = build_operator(mesh, basis, coup, coeffs)
         assert [l for l, _ in blocks.classes] == [0, 2, 4]
-        odd = _coefficient_classes(blocks.collision, blocks.diffusion, basis.odd_degrees())
+        odd = blocks.odd_classes
         assert [sorted(set(basis.odd_degrees()[c].tolist())) for _, c in odd] == [[1], [3, 5]]
         sub = blocks if modes == "full" else blocks.restrict(getattr(basis, modes)())
         m_e, r_e, b_e, c_e = explicit_matrices(sub)
@@ -171,7 +164,7 @@ class TestCrossTermMerge:
     def test_partial_odd_classes_cross_product_is_not_symmetric(self):
         # a three-term kernel such as 10 3 1 at N = 5: odd classes {1}, {3, 5}
         _, basis, blocks, _, _ = small_instance(5, kernel=[1.0, 0.3, 0.1])
-        odd = _coefficient_classes(blocks.collision, blocks.diffusion, basis.odd_degrees())
+        odd = blocks.odd_classes
         assert [sorted(set(basis.odd_degrees()[c].tolist())) for _, c in odd] == [[1], [3, 5]]
         for _, cols in odd:
             prod, _ = _odd_class_products(basis, basis, cols)
@@ -628,23 +621,27 @@ class TestIterationMatrixCycle:
 
 class TestOddTermData:
     @pytest.mark.parametrize("kernel", [1.0, [1.0, 0.3, 0.1]])
-    def test_one_bincount_is_bitwise_the_per_term_stiffness(self, kernel):
+    def test_terms_are_bitwise_the_sparse_products(self, kernel):
         # xx, yy and the merged cross pair of a full odd class, or both cross
         # terms of a partial one, after the even term, in class order
         mesh, basis, blocks, _, _ = small_instance(5, kernel=kernel)
         a = SchurOperator(blocks)._a
         k = a.shape[1] // mesh.n_vertices
         terms = a.data.reshape(-1, k).T
+        g = (blocks.g_x, blocks.g_y)
         want = []
-        for _, cols in _coefficient_classes(blocks.collision, blocks.diffusion,
-                                            basis.odd_degrees()):
+        for _, cols in blocks.odd_classes:
             d = 1.0 / blocks.c_diag[:, cols[0]]
             cross = ([[(0, 1), (1, 0)]] if cols.size == basis.n_minus
                      else [[(0, 1)], [(1, 0)]])
-            want += [p1_stiffness(mesh, d, p).data for p in [[(0, 0)], [(1, 1)], *cross]]
+            for pairs in [[(0, 0)], [(1, 1)], *cross]:
+                # one product sums all pairs of a triangle entry, pair by pair
+                left = vstack([g[i] for i, _ in pairs], format="csr")
+                right = vstack([g[j] for _, j in pairs], format="csr")
+                want.append(left.T @ diags(np.tile(d, len(pairs))) @ right)
         assert len(want) == k - 1
         for got, ref in zip(terms[1:], want):
-            assert got.tobytes() == ref.tobytes()
+            assert mesh.pattern_matrix(got).toarray().tobytes() == ref.toarray().tobytes()
 
 
 class TestTrends:
