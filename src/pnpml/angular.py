@@ -25,6 +25,7 @@ __all__ = [
     "quadrature_for_order",
     "coupling_matrices",
     "scattering_eigenvalues",
+    "kernel_coefficients",
     "kernel_function",
 ]
 
@@ -253,6 +254,13 @@ def scattering_eigenvalues(kernel, basis: AngularBasis) -> dict[int, float]:
     an isotropic kernel, in which case sigma_0 equals the total scattering
     cross-section and all higher eigenvalues vanish).
     """
+    coeffs = kernel_coefficients(kernel)
+    return {l: float(coeffs[l]) if l < coeffs.size else 0.0
+            for l in range(basis.order + 1)}
+
+
+def kernel_coefficients(kernel) -> np.ndarray:
+    """``kernel`` as a 1-d array, checked finite with a nonnegative phase function."""
     coeffs = _as_coeff_array(kernel)
     if np.any(~np.isfinite(coeffs)):
         raise ValueError("kernel coefficients must be finite")
@@ -265,5 +273,4 @@ def scattering_eigenvalues(kernel, basis: AngularBasis) -> dict[int, float]:
             raise ValueError(
                 f"scattering kernel is negative (min {kmin:.3e}); "
                 "nonnegativity of the phase function is required")
-    return {l: float(coeffs[l]) if l < coeffs.size else 0.0
-            for l in range(basis.order + 1)}
+    return coeffs

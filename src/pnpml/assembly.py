@@ -13,8 +13,9 @@ with w_l = mu - sigma_l.  The weights depend on the degree only, and one
 table, ``BlockOperator.collision`` = [w_0 .. w_N], holds them.  Even degrees
 with bitwise equal columns (w_l, k_l) of it and of the diffusion table (see
 :meth:`BlockOperator.class_blocks`) share a coefficient class (isotropic
-kernel: {0} and every l >= 2); ``build_operator`` assembles one mass block per
-class, and the mass products and both preconditioners run one block per class.
+kernel: {0} and every l >= 2).  ``BlockOperator`` forms every table from its
+inputs (mesh, basis, T_x, T_y, collision) with one mass block per class, and
+the mass products and both preconditioners run one block per class.
 
 Spatial matrices are assembled on the mesh's one P1 pattern
 (:meth:`Mesh2D.assemble`): the mass blocks, R, the class blocks and the
@@ -81,23 +82,12 @@ def p1_mass(mesh: Mesh2D, weight: np.ndarray | None = None,
     return mesh.pattern_matrix(mesh.assemble(w[:, None, None] * _LOCAL_MASS, triangles))
 
 
-def gradient_matrices(mesh: Mesh2D) -> tuple[csr_matrix, csr_matrix]:
-    """Sparse (n_triangles, n_vertices) maps with entries |T| * d_i(phi_j):
-    integrals of P1 gradients against the P0 indicator of each triangle
-    (:attr:`Mesh2D.gradients`)."""
-    rows = np.repeat(np.arange(mesh.n_triangles), 3)
-    cols = mesh.triangles.ravel()
-    shape = (mesh.n_triangles, mesh.n_vertices)
-    g_x, g_y = (csr_matrix((g.ravel(), (rows, cols)), shape=shape) for g in mesh.gradients)
-    return g_x, g_y
-
-
 def p1_stiffness_terms(mesh: Mesh2D, terms: list) -> list[np.ndarray]:
     """The data on the mesh's P1 pattern of the sum over (i, j) in ``pairs``
     (0 = x, 1 = y) of G_i^T diag(weight) G_j, G_i of
-    :func:`gradient_matrices`, for each (weight, pairs) of ``terms``: one
-    :meth:`Mesh2D.assemble` per term, so each entry sums its triangles pair
-    by pair, in the order of the sparse products."""
+    :attr:`Mesh2D.gradient_matrices`, for each (weight, pairs) of ``terms``:
+    one :meth:`Mesh2D.assemble` per term, so each entry sums its triangles
+    pair by pair, in the order of the sparse products."""
     # the products run with the triangles innermost, (2, 3, nt), and land in
     # the (pair, nt, 3, 3) values through a transposed view of them
     g = mesh.gradients.transpose(0, 2, 1).copy()
@@ -126,14 +116,11 @@ def _coefficient_classes(w: np.ndarray, k: np.ndarray, degrees: np.ndarray) -> l
 
 @dataclass
 class BlockOperator:
-    """Matrix-free representation of the four system blocks."""
+    """The four system blocks on ``mesh`` and ``basis`` from T_x, T_y and the
+    collision table; M, B and B^T apply matrix-free on (space, mode) arrays."""
 
     mesh: Mesh2D
     basis: AngularBasis
-    mass_blocks: dict[int, csr_matrix]
-    boundary: csr_matrix
-    g_x: csr_matrix
-    g_y: csr_matrix
     t_x: csr_matrix
     t_y: csr_matrix
     collision: np.ndarray  # (nt, N + 1): w[:, l] = mu - sigma_l
@@ -141,20 +128,28 @@ class BlockOperator:
     def __post_init__(self):
         """Form the odd diagonal ``c_diag`` = |T| w_l, shape (nt, n_minus),
         reject it if singular, then form the diffusion table k (zero at odd
-        l) and the coefficient classes (:func:`_coefficient_classes`) of the
-        even modes, ``classes``, and of the odd modes, ``odd_classes``."""
-        self.c_diag = self.mesh.areas[:, None] * self.collision[:, self.basis.odd_degrees()]
+        l), the coefficient classes (:func:`_coefficient_classes`) of the
+        even modes, ``classes``, and of the odd modes, ``odd_classes``, one
+        P1 mass per class keyed by each of its degrees, R and G_x, G_y."""
+        mesh, w = self.mesh, self.collision
+        self.c_diag = mesh.areas[:, None] * w[:, self.basis.odd_degrees()]
         if np.any(self.c_diag == 0):
             raise NumericalError("odd collision block has zero diagonal entries; "
                                  "the elimination is singular")
-        a = 1.0 / self.collision[:, 1::2]  # 1/w_{l+1} at l = 0, 2, .., N - 1
+        a = 1.0 / w[:, 1::2]  # 1/w_{l+1} at l = 0, 2, .., N - 1
         b = np.concatenate([a[:, :1], a[:, :-1]], axis=1)  # 1/w_{l-1}, a at l = 0
-        l = np.arange(0, self.collision.shape[1], 2)
-        self.diffusion = np.zeros_like(self.collision)
+        l = np.arange(0, w.shape[1], 2)
+        self.diffusion = np.zeros_like(w)
         self.diffusion[:, ::2] = (a + l * (b - a) / (2 * l + 1)) / 3.0
-        self.classes, self.odd_classes = (
-            _coefficient_classes(self.collision, self.diffusion, degrees)
-            for degrees in (self.basis.even_degrees(), self.basis.odd_degrees()))
+        even = self.basis.even_degrees()
+        self.classes, self.odd_classes = (_coefficient_classes(w, self.diffusion, degrees)
+                                          for degrees in (even, self.basis.odd_degrees()))
+        self.mass_blocks = {}
+        for l, cols in self.classes:
+            mass = p1_mass(mesh, weight=w[:, l])
+            self.mass_blocks.update(dict.fromkeys(even[cols].tolist(), mass))
+        self.boundary = boundary_mass_matrix(mesh)
+        self.g_x, self.g_y = mesh.gradient_matrices
         # dense angular factors (55 x 45 at N = 9) keep B and B^T in C order
         self._t_dense = (self.t_x.toarray(), self.t_y.toarray())
 
@@ -203,10 +198,8 @@ class BlockOperator:
 
     def restrict(self, sub_basis: AngularBasis) -> "BlockOperator":
         """The operator on a subset of the angular modes, such as one z-parity
-        class (:meth:`AngularBasis.z_even`).  Mesh, mass blocks, boundary,
-        gradient factors and collision table are shared, T_x and T_y are
-        sliced to the sub-basis's rows and columns, and the constructor forms
-        every derived table anew."""
+        class (:meth:`AngularBasis.z_even`): T_x and T_y sliced to the
+        sub-basis, and every other table formed anew by the constructor."""
         even, odd = self.basis.positions(sub_basis)
         return replace(self, basis=sub_basis, t_x=self.t_x[odd][:, even],
                        t_y=self.t_y[odd][:, even])
@@ -225,8 +218,7 @@ def build_operator(mesh: Mesh2D, basis: AngularBasis, couplings: AngularCoupling
                    coeffs: TransportCoefficients) -> BlockOperator:
     """The four blocks; the transport block is B = sum_i G_i kron T_i over
     i in {x, y}: the z factor drops out because fields do not vary along the
-    invariant axis.  ``mass_blocks`` has a key for every even degree, and the
-    degrees of one coefficient class share one matrix."""
+    invariant axis."""
     gamma = coeffs.gamma
     if gamma <= 0:
         warnings.warn("collision coercivity gamma <= 0: the even mass block "
@@ -234,19 +226,7 @@ def build_operator(mesh: Mesh2D, basis: AngularBasis, couplings: AngularCoupling
     w = coeffs.collision(basis.order)
     if gamma > 0 and np.any(w[:, 1::2] <= 0):
         raise RuntimeError("internal error: nonpositive odd-block entry despite gamma > 0")
-    g_x, g_y = gradient_matrices(mesh)
-    op = BlockOperator(
-        mesh=mesh,
-        basis=basis,
-        mass_blocks={},
-        boundary=boundary_mass_matrix(mesh),
-        g_x=g_x, g_y=g_y, t_x=couplings.t_x, t_y=couplings.t_y,
-        collision=w,
-    )
-    degrees = basis.even_degrees()
-    for l, cols in op.classes:
-        op.mass_blocks.update(dict.fromkeys(degrees[cols].tolist(), p1_mass(mesh, weight=w[:, l])))
-    return op
+    return BlockOperator(mesh, basis, couplings.t_x, couplings.t_y, collision=w)
 
 
 def project_source(mesh: Mesh2D, basis: AngularBasis, q,

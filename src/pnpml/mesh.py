@@ -258,6 +258,15 @@ class Mesh2D:
         return np.ascontiguousarray([-0.5 * ey, 0.5 * ex])
 
     @cached_property
+    def gradient_matrices(self) -> tuple[csr_matrix, csr_matrix]:
+        """(G_x, G_y), sparse (n_triangles, n_vertices), entries |T| d_i(phi_j):
+        integrals of P1 gradients against the P0 indicator of each triangle."""
+        rows = np.repeat(np.arange(self.n_triangles), 3)
+        cols = self.triangles.ravel()
+        shape = (self.n_triangles, self.n_vertices)
+        return tuple(csr_matrix((g.ravel(), (rows, cols)), shape=shape) for g in self.gradients)
+
+    @cached_property
     def _edges(self) -> _EdgeTable:
         """The edge table, built on first use."""
         starts = self.triangles.ravel()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pnpml.angular import scattering_eigenvalues, build_basis
+from pnpml.angular import kernel_coefficients
 from pnpml.mesh import INTERIOR, LAYER, GeometrySpec, Mesh2D, ray_exit_distance
 
 __all__ = [
@@ -43,7 +43,6 @@ class TransportCoefficients:
     sigma: np.ndarray   # (nt, K) scattering eigenvalues, zero rows on the layer
     source: np.ndarray  # (nt,) isotropic source density, zero on the layer
     a: float            # layer absorption
-    big_gamma: float    # max of mu
 
     def collision(self, order: int) -> np.ndarray:
         """The P_N collision weights w[:, l] = mu - sigma_l for l = 0..order,
@@ -56,6 +55,11 @@ class TransportCoefficients:
     def gamma(self) -> float:
         """Min over triangles and degrees of mu - sigma_l."""
         return float(self.collision(self.sigma.shape[1]).min())
+
+    @property
+    def big_gamma(self) -> float:
+        """Max over triangles of mu."""
+        return float(self.mu.max())
 
     @property
     def a5_satisfied(self) -> bool:
@@ -94,13 +98,12 @@ def extend_coefficients(mesh: Mesh2D, mu, kernel, source, a: float) -> Transport
             raise ModelError("scattering kernel must be nonnegative and finite")
         sigma = sig0[:, None].copy()
     else:
-        coeffs = np.atleast_1d(np.asarray(kernel, dtype=float))
-        if coeffs.size == 0:
-            raise ModelError("scattering kernel needs at least one Legendre coefficient")
-        try:  # reuses the phase-function nonnegativity check
-            scattering_eigenvalues(coeffs, build_basis(1))
+        try:
+            coeffs = kernel_coefficients(kernel)
         except ValueError as exc:
             raise ModelError(str(exc)) from exc
+        if coeffs.size == 0:
+            raise ModelError("scattering kernel needs at least one Legendre coefficient")
         sigma = np.tile(coeffs, (mesh.n_triangles, 1))
 
     src = _sample(source, cent)
@@ -114,15 +117,14 @@ def extend_coefficients(mesh: Mesh2D, mu, kernel, source, a: float) -> Transport
     if np.any(sigma[interior, 0] > mu_tri[interior] + 1e-12):
         raise ModelError("subcriticality violated: sigma_0 must not exceed mu")
 
-    return TransportCoefficients(mu=mu_tri, sigma=sigma, source=src, a=float(a),
-                                 big_gamma=float(mu_tri.max()))
+    return TransportCoefficients(mu=mu_tri, sigma=sigma, source=src, a=float(a))
 
 
-def extension_apply(spec: GeometrySpec, coeffs, u_boundary_trace, r, s) -> float:
-    """Value of the exponentially extended solution at a layer point (r, s):
-    e^{-a * travel} times the outgoing trace at the inner-boundary hit point,
-    or zero when the backward ray misses the inner region."""
-    a = coeffs.a if isinstance(coeffs, TransportCoefficients) else float(coeffs)
+def extension_apply(spec: GeometrySpec, a: float, u_boundary_trace, r, s) -> float:
+    """Value of the exponentially extended solution at a layer point (r, s)
+    for layer absorption ``a``: e^{-a * travel} times the outgoing trace at
+    the inner-boundary hit point, or zero when the backward ray misses the
+    inner region."""
     dist = ray_exit_distance(spec, r, s)
     if not np.isfinite(dist):
         return 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, diags, kron, vstack
@@ -11,11 +13,11 @@ from pnpml.angular import (
 )
 import pnpml.assembly
 from pnpml.assembly import (
+    BlockOperator,
     Field,
     build_operator,
     even_l2_norm2,
     explicit_matrices,
-    gradient_matrices,
     odd_l2_norm2,
     p1_mass,
     p1_stiffness_terms,
@@ -160,7 +162,7 @@ class TestTransport:
         mesh = unit_right_triangle()
         basis = build_basis(3)
         coup = coupling_matrices(basis, quadrature_for_order(3))
-        g_x, g_y = gradient_matrices(mesh)
+        g_x, g_y = mesh.gradient_matrices
         e00 = basis.even_indices.index((0, 0))
         U = np.zeros((3, basis.n_plus))
         U[:, e00] = mesh.vertices[:, 0]  # the function x
@@ -297,9 +299,14 @@ class TestRestrict:
         _, mesh, coeffs, basis, coup = rect_setup(h=1.0, N=5)
         op = build_operator(mesh, basis, coup, coeffs)
         sub = op.restrict(basis.z_even())
-        assert sub.mesh is op.mesh and sub.mass_blocks is op.mass_blocks
-        assert sub.boundary is op.boundary
+        assert sub.mesh is op.mesh and sub.collision is op.collision
         assert sub.g_x is op.g_x and sub.g_y is op.g_y
+        # the constructor assembles its own masses and R, bitwise the parent's
+        for m, want in [(sub.boundary, op.boundary),
+                        *((sub.mass_blocks[d], op.mass_blocks[d]) for d in sub.mass_blocks)]:
+            assert m.data.tobytes() == want.data.tobytes()
+            assert np.array_equal(m.indices, want.indices)
+            assert np.array_equal(m.indptr, want.indptr)
         assert sub.t_x.shape == (sub.basis.n_minus, sub.basis.n_plus)
         assert sub.c_diag.shape == (mesh.n_triangles, sub.basis.n_minus)
 
@@ -347,6 +354,23 @@ class TestRestrict:
         for got, want in [(sub.t_x, direct.t_x), (sub.t_y, direct.t_y)]:
             assert (got != want).nnz == 0
 
+    def test_fields_are_the_inputs(self):
+        names = [f.name for f in dataclasses.fields(BlockOperator)]
+        assert names == ["mesh", "basis", "t_x", "t_y", "collision"]
+
+    def test_replaced_collision_reforms_the_masses(self):
+        # doubling w_2 of an isotropic kernel splits the class {2, 4} in two
+        _, mesh, coeffs, basis, coup = rect_setup(h=1.0, N=5)
+        op = build_operator(mesh, basis, coup, coeffs)
+        w = op.collision.copy()
+        w[:, 2] *= 2.0
+        new = dataclasses.replace(op, collision=w)
+        assert class_degrees(op) == [(0, [0]), (2, [2, 4])]
+        assert class_degrees(new) == [(0, [0]), (2, [2]), (4, [4])]
+        for d in range(0, 5, 2):
+            want = p1_mass(mesh, weight=w[:, d])
+            assert new.mass_blocks[d].data.tobytes() == want.data.tobytes()
+
 
 def coo_mass(mesh, weight=None, triangles=None):
     """The P1 mass matrix summed from COO triplets, the reference form."""
@@ -386,7 +410,7 @@ class TestPattern:
     def test_stiffness_is_bitwise_the_sparse_products(self, pairs):
         _, mesh, _, _, _ = disk_setup()
         weight = RNG.uniform(0.5, 2.0, mesh.n_triangles)
-        g = gradient_matrices(mesh)
+        g = mesh.gradient_matrices
         # one product sums all pairs of a triangle entry, pair by pair
         left = vstack([g[i] for i, _ in pairs], format="csr")
         right = vstack([g[j] for _, j in pairs], format="csr")
@@ -517,7 +541,7 @@ class TestClasses:
     @pytest.mark.parametrize("kernel, n_classes", [(10.0, 2), ([1.0, 0.3, 0.1], 3),
                                                    (SPLIT_KERNEL, 4)],
                              ids=["isotropic", "anisotropic", "split"])
-    def test_one_mass_per_class_and_none_on_restrict(self, kernel, n_classes, monkeypatch):
+    def test_one_mass_per_class_per_construction(self, kernel, n_classes, monkeypatch):
         _, mesh, coeffs, basis, coup = rect_setup(N=7, sig=kernel)
         calls = []
 
@@ -527,14 +551,19 @@ class TestClasses:
 
         monkeypatch.setattr(pnpml.assembly, "p1_mass", counted)
         op = build_operator(mesh, basis, coup, coeffs)
-        assert len(calls) == len(op.classes) == n_classes
-        for l, cols in op.classes:
-            for degree in basis.even_degrees()[cols]:
-                assert op.mass_blocks[degree] is op.mass_blocks[l]
-        for sub_basis in (basis.z_even(), basis.z_odd()):
-            sub = op.restrict(sub_basis)
-            assert sub.collision is op.collision and sub.mass_blocks is op.mass_blocks
-        assert len(calls) == n_classes
+        assert len(op.classes) == n_classes
+        for sub_basis in (basis, basis.z_even(), basis.z_odd()):
+            # each construction assembles one mass per class, restrict included
+            sub = op if sub_basis is basis else op.restrict(sub_basis)
+            weights = calls.copy()
+            calls.clear()
+            assert len(weights) == len(sub.classes)
+            degrees = sub.basis.even_degrees()
+            assert sorted(sub.mass_blocks) == np.unique(degrees).tolist()
+            for (l, cols), w in zip(sub.classes, weights):
+                assert w.tobytes() == sub.collision[:, l].tobytes()
+                for degree in degrees[cols]:
+                    assert sub.mass_blocks[degree] is sub.mass_blocks[l]
 
 
 class TestNorms:

@@ -86,6 +86,14 @@ class TestExtendCoefficients:
         with pytest.raises(ModelError):
             extend_coefficients(mesh, 10.1, [], 1.0, a=1.0)
 
+    @pytest.mark.parametrize("kernel, message", [([1.0, np.nan], "must be finite"),
+                                                 ([1.0, 5.0], "kernel is negative")],
+                             ids=["nan", "negative-phase-function"])
+    def test_bad_kernel_list_rejected(self, kernel, message):
+        mesh = build_mesh(example1_spec(), 0.1)
+        with pytest.raises(ModelError, match=message):
+            extend_coefficients(mesh, 10.1, kernel, 1.0, a=1.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_source_rejected(self, bad):
         mesh = build_mesh(example1_spec(), 0.1)

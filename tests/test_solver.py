@@ -6,7 +6,7 @@ from scipy.sparse import diags, vstack
 from scipy.sparse.linalg import splu
 
 from pnpml.angular import build_basis, coupling_matrices, degree_groups, quadrature_for_order
-from pnpml.assembly import build_operator, explicit_matrices, p1_mass, project_source
+from pnpml.assembly import build_operator, explicit_matrices, project_source
 from pnpml.mesh import Disk, GeometrySpec, Mesh2D, Rect, build_mesh, uniform_refine
 from pnpml.pml import extend_coefficients
 from pnpml.solver import (
@@ -398,9 +398,9 @@ class TestPreconditioners:
     def test_class_block_is_the_block_of_every_member_degree(self, kernel):
         _, basis, blocks, _, _ = small_instance(7, kernel=kernel)
         degrees = basis.even_degrees()
-        # every degree a class of its own, with a mass block of its own weight
-        per_degree = dataclasses.replace(blocks, mass_blocks={
-            l: p1_mass(blocks.mesh, weight=blocks.collision[:, l]) for l in np.unique(degrees)})
+        # every degree a class of its own; mass_blocks keys every degree to
+        # the mass of its class, bitwise the mass of its own weight
+        per_degree = dataclasses.replace(blocks)
         per_degree.classes = degree_groups(degrees)
         own = {l: block.toarray() for (l, _), (_, block)
                in zip(per_degree.classes, per_degree.class_blocks())}
