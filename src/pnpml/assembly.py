@@ -219,14 +219,11 @@ def build_operator(mesh: Mesh2D, basis: AngularBasis, couplings: AngularCoupling
     """The four blocks; the transport block is B = sum_i G_i kron T_i over
     i in {x, y}: the z factor drops out because fields do not vary along the
     invariant axis."""
-    gamma = coeffs.gamma
-    if gamma <= 0:
+    if coeffs.gamma <= 0:
         warnings.warn("collision coercivity gamma <= 0: the even mass block "
                       "may be singular", stacklevel=2)
-    w = coeffs.collision(basis.order)
-    if gamma > 0 and np.any(w[:, 1::2] <= 0):
-        raise RuntimeError("internal error: nonpositive odd-block entry despite gamma > 0")
-    return BlockOperator(mesh, basis, couplings.t_x, couplings.t_y, collision=w)
+    return BlockOperator(mesh, basis, couplings.t_x, couplings.t_y,
+                         collision=coeffs.collision(basis.order))
 
 
 def project_source(mesh: Mesh2D, basis: AngularBasis, q,

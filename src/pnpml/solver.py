@@ -14,7 +14,11 @@ its diagonal.  ``block_spatial`` approximates its inverse by one symmetric
 Galerkin V-cycle over the mesh's refinement chain, damped-Jacobi smoothed
 through one stored iteration matrix per level, with one sparse LU per class
 on the coarsest mesh; on a mesh that was not refined the cycle is that exact
-LU solve.
+LU solve.  The hierarchy is formed in float64 but stored, factorized and run
+in float32; PCG, the Schur operator, the right-hand side and the odd
+recovery stay in float64.  On the disk-scatter benchmark case (N = 9,
+9,577 vertices) that leaves the iteration count at 51 and moves the even and
+odd fields by 3e-14 and 6e-13 relative L2 against a float64 hierarchy.
 
 For z-invariant problems the system splits exactly into two independent
 z-parity classes (angular modes with l + |m| even or odd).  ``solve_system``
@@ -175,6 +179,7 @@ class JacobiPreconditioner:
 
 _OMEGA = 0.8   # damped-Jacobi weight of the V-cycle smoother
 _SWEEPS = 2    # smoothing sweeps before and after each coarse correction
+_PRECISION = np.float32  # storage and arithmetic of the V-cycle hierarchy
 
 
 def _smoother(a: csr_matrix) -> tuple[csr_matrix, np.ndarray]:
@@ -192,12 +197,24 @@ def _smoother(a: csr_matrix) -> tuple[csr_matrix, np.ndarray]:
     return csr_matrix((data, a.indices, a.indptr), shape=a.shape), w[:, None]
 
 
+def _lowered(*arrays) -> list:
+    """``arrays`` (sparse or dense) cast to _PRECISION.  An entry beyond the
+    range of _PRECISION raises NumericalError instead of entering the cycle
+    as inf."""
+    with np.errstate(over="ignore"):
+        out = [a.astype(_PRECISION) for a in arrays]
+    if not all(np.all(np.isfinite(getattr(a, "data", a))) for a in out):
+        raise NumericalError(f"a block_spatial level overflows {np.dtype(_PRECISION).name}")
+    return out
+
+
 def _v_cycle(levels: list, lu, b: np.ndarray) -> np.ndarray:
     """One V-cycle from x = 0 for A x = b on the finest of ``levels``, a list
     of (A, J, omega / diag(A), P, Pᵀ) from fine to coarse with J the smoother
     of :func:`_smoother`; ``lu`` solves the coarsest system exactly.  Each
     damped-Jacobi sweep is x <- J x + c with c = omega D^{-1} b formed once,
-    so the first sweep from zero is x = c."""
+    so the first sweep from zero is x = c.  The cycle runs in the dtype of
+    its inputs."""
     if not levels:
         return lu.solve(b)
     (a, j, w, p, pt), coarser = levels[0], levels[1:]
@@ -229,36 +246,50 @@ class BlockSpatialPreconditioner:
     prolongation, and factorized once by a sparse LU on the coarsest mesh.
     Each finer level also stores its damped-Jacobi iteration matrix
     J = I - omega D^{-1} A (weight _OMEGA) on A's pattern; a diagonal that is
-    not positive and finite raises NumericalError.  ``apply`` runs one
-    V-cycle per class, its columns gathered into one contiguous
-    multi-column right-hand side: on each finer level, _SWEEPS sweeps
-    x <- J x + c, c = omega D^{-1} b, before the coarse correction and as
-    many after, so the cycle is a symmetric operator.  A mesh without a
+    not positive and finite raises NumericalError.  The hierarchy is formed
+    in float64 and then stored, factorized and run in _PRECISION (a level
+    that overflows it raises NumericalError); PCG sees a float64 operator.
+    ``apply`` runs one V-cycle per class, its columns gathered into one
+    contiguous multi-column right-hand side: on each finer level, _SWEEPS
+    sweeps x <- J x + c, c = omega D^{-1} b, before the coarse correction and
+    as many after, so the cycle is a symmetric operator.  A mesh without a
     parent is a chain of one, where the cycle is the exact LU solve of the
     block."""
 
     def __init__(self, blocks: BlockOperator):
         self._shape = (blocks.mesh.n_vertices, blocks.basis.n_plus)
         chain, mesh = [], blocks.mesh  # (P, Pᵀ) per level, fine to coarse
+        self._vertices = [mesh.n_vertices]
         while mesh.parent is not None:
             mesh = mesh.parent
+            self._vertices.append(mesh.n_vertices)
             # Pᵀ stored as CSR: a transposed view costs more per product
             chain.append((mesh.prolongation, mesh.prolongation.T.tocsr()))
+        lowered = [_lowered(p, pt) for p, pt in chain]  # shared by every class
         self._cols, self._levels, self._solvers = [], [], []
         for cols, block in blocks.class_blocks():
             levels = []
-            for p, pt in chain:
-                levels.append((block, *_smoother(block), p, pt))
+            for (p, pt), p_pt in zip(chain, lowered):
+                levels.append((*_lowered(block, *_smoother(block)), *p_pt))
                 block = pt @ block @ p
             self._cols.append(_columns(cols))
             self._levels.append(levels)
-            self._solvers.append(splu(block.tocsc()))
+            self._solvers.append(splu(_lowered(block)[0].tocsc()))
+
+    def record(self, parameters: dict) -> None:
+        """Add the hierarchy to a run's parameters: vertices per level, fine
+        to coarse; L + U nonzeros of the coarse LUs, summed with those of
+        earlier preconditioners of the run; the precision it runs in."""
+        parameters["precond_levels"] = " ".join(map(str, self._vertices))
+        parameters["precond_factor_nnz"] = (parameters.get("precond_factor_nnz", 0)
+                                            + sum(int(lu.nnz) for lu in self._solvers))
+        parameters["precond_precision"] = np.dtype(_PRECISION).name
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         u = r.reshape(self._shape)
         out = np.empty_like(u)
         for cols, levels, lu in zip(self._cols, self._levels, self._solvers):
-            out[:, cols] = _v_cycle(levels, lu, np.ascontiguousarray(u[:, cols]))
+            out[:, cols] = _v_cycle(levels, lu, u[:, cols].astype(_PRECISION, order="C"))
         return out.ravel()
 
 
@@ -417,6 +448,8 @@ def solve_system(blocks: BlockOperator, q_plus: np.ndarray, q_minus: np.ndarray,
             continue
         sub = blocks.restrict(sub_basis)
         pre = None if precond is None else build_preconditioner(sub, precond)
+        if isinstance(pre, BlockSpatialPreconditioner):
+            pre.record(report.parameters)
         try:
             x, part = pcg_solve(SchurOperator(sub), schur_rhs(sub, qp, qm),
                                 preconditioner=pre, tol=tol, max_iter=max_iter)

@@ -205,6 +205,24 @@ class TestOddDiag:
         assert np.all(c > 0)
         assert np.count_nonzero(c) == mesh.n_triangles * basis.n_minus
 
+    @pytest.mark.parametrize("case", ["disk", "lattice", "10-3-1"])
+    def test_odd_weights_are_at_least_gamma(self, case):
+        # gamma is the minimum of collision(K), K the kernel length, whose
+        # columns are every mu - sigma_l with l < K and mu itself, so no
+        # column of collision(N) falls below it at any N; the odd columns
+        # are positive, so the odd block is nonsingular
+        if case == "disk":
+            _, _, coeffs, _, _ = disk_setup(h=0.2, N=3)
+        elif case == "lattice":
+            mu, kernel, _ = _lattice_physics()
+            _, _, coeffs, _, _ = rect_setup(mu=mu, sig=kernel)
+        else:
+            _, _, coeffs, _, _ = rect_setup(sig=[10.0, 3.0, 1.0])
+        for order in (1, 2, 3, 9):
+            w = coeffs.collision(order)
+            assert w.min() >= coeffs.gamma
+            assert w[:, 1::2].min() > 0
+
     @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])
     def test_entries_are_area_times_weight(self, modes):
         _, mesh, coeffs, basis, coup = rect_setup(N=5, sig=[1.0, 0.3, 0.1])

@@ -536,6 +536,25 @@ class TestMain:
         assert "converged = False" in log
         assert "iterations = 2" in log
 
+    @pytest.mark.parametrize("precond", ["block_spatial", "jacobi"])
+    def test_run_log_records_the_block_spatial_hierarchy(self, tmp_path, precond):
+        text = (EXAMPLE1.replace("disc.level = 0", "disc.level = 1")
+                .replace("solver.precond = block_spatial", f"solver.precond = {precond}"))
+        path = self._write(tmp_path, text)
+        assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 0
+        log = (tmp_path / "out" / "run_log.txt").read_text().splitlines()
+        entries = dict(line.split(" = ", 1) for line in log if " = " in line)
+        keys = ("precond_levels", "precond_factor_nnz", "precond_precision")
+        if precond == "jacobi":
+            assert not any(k in entries for k in keys)
+            return
+        mesh = run_case(RunConfig.parse(text)).mesh
+        # fine to coarse; the isotropic source solves the z-even class only,
+        # whose N = 3 classes {0} and {2} each have one coarse LU
+        assert entries["precond_levels"] == f"{mesh.n_vertices} {mesh.parent.n_vertices}"
+        assert int(entries["precond_factor_nnz"]) >= 2 * mesh.parent.n_vertices
+        assert entries["precond_precision"] == "float32"
+
     def test_tol_override(self, tmp_path):
         path = self._write(tmp_path, EXAMPLE1)
         code = main(["--tol", "1e-5", "--out-dir", str(tmp_path / "out"), "solve", path])

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pnpml.angular import build_basis, coupling_matrices, degree_groups, quadrat
 from pnpml.assembly import build_operator, explicit_matrices, project_source
 from pnpml.mesh import Disk, GeometrySpec, Mesh2D, Rect, build_mesh, uniform_refine
 from pnpml.pml import extend_coefficients
+import pnpml.solver
 from pnpml.solver import (
     BLOCK_SPATIAL,
     JACOBI,
@@ -29,6 +31,22 @@ from pnpml.solver import (
 )
 
 RNG = np.random.default_rng(31415)
+
+
+def in_float64(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the block_spatial hierarchy stored and run
+    in float64 instead of _PRECISION."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pnpml.solver, "_PRECISION", np.float64)
+        return fn(*args, **kwargs)
+
+
+@pytest.fixture
+def float64_hierarchy(monkeypatch):
+    """The block_spatial hierarchy in float64, for the tests that check the
+    cycle's algebra (exact LUs, symmetry, the residual form) to float64
+    bounds."""
+    monkeypatch.setattr(pnpml.solver, "_PRECISION", np.float64)
 
 
 # sigma_2 = sigma_6, sigma_1 = sigma_5 and sigma_3 = sigma_7, so degree 6
@@ -408,6 +426,7 @@ class TestPreconditioners:
             for degree in np.unique(degrees[cols]):
                 assert own[degree].tobytes() == block.toarray().tobytes()
 
+    @pytest.mark.usefixtures("float64_hierarchy")
     @pytest.mark.parametrize("modes", ["full", "z_even", "z_odd"])
     def test_both_kinds_come_from_the_degree_blocks(self, modes):
         _, basis, blocks, _, _ = small_instance(5, kernel=[1.0, 0.3, 0.1])
@@ -455,12 +474,14 @@ def without_chain(blocks):
 
 class TestVCycle:
     """``block_spatial`` on the desk instance refined twice, a chain of three
-    meshes, against the exact per-class LU of the same fine mesh."""
+    meshes, against the exact per-class LU of the same fine mesh.  The tests
+    held to float64 bounds run the hierarchy in float64."""
 
     @pytest.fixture(scope="class")
     def chain(self):
         return desk_instance(h=0.2, N=3, levels=2)
 
+    @pytest.mark.usefixtures("float64_hierarchy")
     def test_symmetric_and_positive(self, chain):
         _, _, blocks, _, _ = chain
         pre = BlockSpatialPreconditioner(blocks)
@@ -479,6 +500,7 @@ class TestVCycle:
         assert len(pre._solvers) == 2
         assert all(lu.shape == (coarsest.n_vertices,) * 2 for lu in pre._solvers)
 
+    @pytest.mark.usefixtures("float64_hierarchy")
     def test_mesh_without_parent_gets_the_exact_lu(self, chain):
         _, _, blocks, _, _ = chain
         flat = without_chain(blocks)
@@ -488,6 +510,7 @@ class TestVCycle:
         for cols, block in flat.class_blocks():
             assert z[:, cols].tobytes() == splu(block.tocsc()).solve(r[:, cols]).tobytes()
 
+    @pytest.mark.usefixtures("float64_hierarchy")
     def test_merged_class_matches_the_per_degree_lu(self):
         # the isotropic kernel puts degrees 2 and 4 in one class, solved with
         # the block of degree 2; each degree's own block gives the same
@@ -505,6 +528,7 @@ class TestVCycle:
             want[:, cols] = splu(block.tocsc()).solve(r[:, cols])
         assert np.linalg.norm(z - want) <= 1e-14 * np.linalg.norm(want)
 
+    @pytest.mark.usefixtures("float64_hierarchy")
     def test_pure_absorber_needs_one_lu(self):
         # kernel 0: the z-even degrees 0, 2 and 4 form one class with one LU,
         # and each degree's own block gives the same solution
@@ -567,8 +591,10 @@ def residual_form_v_cycle(mesh, a, b):
 
 class TestIterationMatrixCycle:
     """The V-cycle sweeps x <- J x + c with J = I - omega D^{-1} A stored per
-    level; in exact arithmetic that is the residual-form sweep."""
+    level; in exact arithmetic that is the residual-form sweep (compared
+    with the hierarchy in float64)."""
 
+    @pytest.mark.usefixtures("float64_hierarchy")
     @pytest.mark.parametrize("N, sig, n_classes", [(3, 10.0, 2), (5, [10.0, 3.0, 1.0], 3)])
     def test_matches_the_residual_form_cycle(self, N, sig, n_classes):
         _, _, blocks, _, _ = desk_instance(h=0.2, N=N, sig=sig, levels=2)
@@ -581,6 +607,7 @@ class TestIterationMatrixCycle:
             want = residual_form_v_cycle(blocks.mesh, block.tocsr(), r[:, cols])
             assert np.linalg.norm(z[:, cols] - want) <= 1e-14 * np.linalg.norm(want)
 
+    @pytest.mark.usefixtures("float64_hierarchy")
     def test_class_that_is_not_one_run_keeps_its_index_array(self):
         # degrees 0 and 4 in one class, solved with the block of degree 0
         _, _, blocks, _, _ = desk_instance(h=0.2, N=5, levels=1)
@@ -617,6 +644,90 @@ class TestIterationMatrixCycle:
         w[:, 1] = value
         with pytest.raises(NumericalError, match="diagonal"):
             precond(dataclasses.replace(blocks, collision=w))
+
+
+# (N, kernel) per kernel of the precision tests: the split kernel needs N = 7
+PRECISION_KERNELS = {"isotropic": (3, 10.0), "10-3-1": (5, [10.0, 3.0, 1.0]),
+                     "split": (7, SPLIT_KERNEL)}
+
+
+@functools.lru_cache
+def chained_instance(kernel):
+    """The desk instance refined twice (a chain of three meshes)."""
+    n, sig = PRECISION_KERNELS[kernel]
+    return desk_instance(h=0.2, N=n, sig=sig, levels=2)
+
+
+def precision_case(kernel, modes, chain):
+    """The z-parity operator ``modes`` of :func:`chained_instance`, on the
+    chain or on a copy of its fine mesh without one."""
+    _, basis, blocks, _, _ = chained_instance(kernel)
+    sub = blocks.restrict(getattr(basis, modes)())
+    return sub if chain else without_chain(sub)
+
+
+precision_cases = pytest.mark.parametrize(
+    "kernel, modes, chain",
+    [pytest.param(k, m, c, id=f"{k}-{m}-{'chain' if c else 'flat'}")
+     for k in PRECISION_KERNELS for m in ("z_even", "z_odd") for c in (True, False)])
+
+
+class TestSinglePrecisionHierarchy:
+    """``block_spatial`` stores, factorizes and runs its hierarchy in
+    float32 (_PRECISION); the same cycle in float64 is the reference."""
+
+    @precision_cases
+    def test_apply_matches_the_float64_hierarchy(self, kernel, modes, chain):
+        sub = precision_case(kernel, modes, chain)
+        pre = BlockSpatialPreconditioner(sub)
+        assert all(lu.L.dtype == np.float32 for lu in pre._solvers)
+        assert all(m.dtype == np.float32 for levels in pre._levels for lv in levels for m in lv)
+        r = RNG.normal(size=sub.n_even)
+        z = pre.apply(r)
+        want = in_float64(lambda: BlockSpatialPreconditioner(sub).apply(r))
+        assert z.dtype == np.float64
+        assert np.linalg.norm(z - want) <= 1e-5 * np.linalg.norm(want)
+
+    @precision_cases
+    def test_symmetric_and_positive(self, kernel, modes, chain):
+        sub = precision_case(kernel, modes, chain)
+        pre = BlockSpatialPreconditioner(sub)
+        x, y = RNG.normal(size=(2, sub.n_even))
+        px, py = pre.apply(x), pre.apply(y)
+        assert abs(x @ py - y @ px) <= 1e-6 * np.linalg.norm(x) * np.linalg.norm(py)
+        for v in RNG.normal(size=(5, sub.n_even)):
+            assert v @ pre.apply(v) > 0
+
+    @precision_cases
+    def test_solve_matches_the_float64_hierarchy(self, kernel, modes, chain):
+        # a smooth load on the z-parity class ``modes`` only
+        _, basis, blocks, qp_iso, qm = chained_instance(kernel)
+        if not chain:
+            blocks = without_chain(blocks)
+        even, _ = basis.positions(getattr(basis, modes)())
+        qp = np.zeros_like(qp_iso)
+        qp[:, even] = qp_iso.sum(axis=1)[:, None] * np.linspace(1.0, 0.5, even.size)
+        fld, rep = solve_system(blocks, qp, qm, precond=BLOCK_SPATIAL, tol=1e-7)
+        ref, rep_ref = in_float64(solve_system, blocks, qp, qm, precond=BLOCK_SPATIAL, tol=1e-7)
+        assert rep.converged and rep.iterations == rep_ref.iterations
+        for got, want in ((fld.even, ref.even), (fld.odd, ref.odd)):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("chain", [True, False], ids=["chain", "flat"])
+    def test_block_beyond_the_float32_range_rejected(self, chain):
+        # w_1 = 1e-40 makes the diffusion k_0 = 1/(3 w_1), and with it the
+        # class block of degree 0, exceed the float32 range; every float64
+        # entry stays finite and the odd block nonsingular.  Without a chain
+        # the block is the coarse block the LU factorizes.
+        _, _, blocks, _, _ = desk_instance(h=0.2, N=3, levels=1)
+        w = blocks.collision.copy()
+        w[:, 1] = 1e-40
+        tiny = dataclasses.replace(blocks, collision=w)
+        if not chain:
+            tiny = without_chain(tiny)
+        in_float64(BlockSpatialPreconditioner, tiny)
+        with pytest.raises(NumericalError, match="overflows float32"):
+            BlockSpatialPreconditioner(tiny)
 
 
 class TestOddTermData:
