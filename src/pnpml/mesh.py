@@ -286,7 +286,11 @@ class Mesh2D:
         """The P1 pattern, each vertex with itself and the ends of each edge
         with each other: CSR indptr and indices (32-bit, as scipy keeps them,
         so matrices share them) and the position of the nine local pairs
-        (t[a], t[b]) of each triangle t, (nt, 9) row-major."""
+        (t[a], t[b]) of each triangle t, (nt, 9) row-major.  indptr and
+        indices are read-only: an in-place rewrite of one pattern matrix's
+        structure (``eliminate_zeros``, ``sort_indices``, ``sum_duplicates``)
+        raises ValueError instead of rewriting the pattern of every matrix
+        on the mesh."""
         nv, ends, tri_edges = self.n_vertices, self._edges.ends, self._edges.tri_edges
         rows = np.concatenate([np.arange(nv), ends[:, 0], ends[:, 1]])
         cols = np.concatenate([np.arange(nv), ends[:, 1], ends[:, 0]])
@@ -301,7 +305,9 @@ class Mesh2D:
         scatter = rank[np.column_stack([t[:, 0], fwd[:, 0], bwd[:, 2], bwd[:, 0], t[:, 1],
                                         fwd[:, 1], fwd[:, 2], bwd[:, 1], t[:, 2]])]
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nv))])
-        return indptr.astype(np.int32), cols[order].astype(np.int32), scatter
+        indptr, indices = indptr.astype(np.int32), cols[order].astype(np.int32)
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices, scatter
 
     @cached_property
     def _boundary_scatter(self) -> np.ndarray:
@@ -316,7 +322,8 @@ class Mesh2D:
 
     def pattern_matrix(self, data: np.ndarray) -> csr_matrix:
         """The CSR matrix holding ``data`` on the P1 pattern; all such
-        matrices share the pattern's indptr and indices."""
+        matrices share the pattern's read-only indptr and indices, so a
+        zero-free form of one is a copy."""
         indptr, indices, _ = self._pattern
         return csr_matrix((data, indices, indptr), shape=(self.n_vertices,) * 2)
 

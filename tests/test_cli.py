@@ -22,6 +22,7 @@ from pnpml.cli import (
 )
 from pnpml.mesh import Disk, GeometrySpec, Rect, build_mesh
 from pnpml.angular import build_basis
+from pnpml.solver import SchurOperator
 
 EXAMPLE1 = """
 # disk with an absorbing shell
@@ -554,6 +555,18 @@ class TestMain:
         assert entries["precond_levels"] == f"{mesh.n_vertices} {mesh.parent.n_vertices}"
         assert int(entries["precond_factor_nnz"]) >= 2 * mesh.parent.n_vertices
         assert entries["precond_precision"] == "float32"
+
+    @pytest.mark.parametrize("precond", ["block_spatial", "jacobi"])
+    def test_run_log_records_the_stored_schur_entries(self, tmp_path, precond):
+        text = EXAMPLE1.replace("solver.precond = block_spatial", f"solver.precond = {precond}")
+        assert main(["--out-dir", str(tmp_path / "out"), "solve", self._write(tmp_path, text)]) == 0
+        log = (tmp_path / "out" / "run_log.txt").read_text().splitlines()
+        entries = dict(line.split(" = ", 1) for line in log if " = " in line)
+        # the isotropic source solves the z-even class only
+        case = run_case(RunConfig.parse(text))
+        stored = {}
+        SchurOperator(case.blocks.restrict(case.basis.z_even())).record(stored)
+        assert int(entries["schur_nnz"]) == stored["schur_nnz"] > 0
 
     def test_tol_override(self, tmp_path):
         path = self._write(tmp_path, EXAMPLE1)

@@ -480,6 +480,23 @@ class TestBoundaryMass:
                   edge_local_mass(mesh.boundary_lengths).reshape(-1, 4))
         assert np.array_equal(r.toarray(), dense)
 
+    @pytest.mark.parametrize("spec,h", SMALL_MESHES)
+    def test_shared_pattern_cannot_be_compacted_in_place(self, spec, h):
+        # R stores zeros at every interior entry of the pattern it shares
+        # with every other matrix on the mesh
+        mesh = build_mesh(spec, h)
+        indptr, indices = (a.copy() for a in mesh._pattern[:2])
+        r = boundary_mass_matrix(mesh)
+        assert np.count_nonzero(r.data) < r.nnz
+        with pytest.raises(ValueError):
+            r.eliminate_zeros()
+        r.has_sorted_indices = False
+        with pytest.raises(ValueError):
+            r.sort_indices()
+        assert np.array_equal(mesh._pattern[0], indptr)
+        assert np.array_equal(mesh._pattern[1], indices)
+        assert np.array_equal(boundary_mass_matrix(mesh).indices, indices)
+
     def test_boundary_owners_hold_their_edges(self):
         mesh = build_mesh(rect_spec(), 1.0)
         owners = mesh.triangles[mesh.boundary_owners]

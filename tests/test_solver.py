@@ -3,17 +3,19 @@ import functools
 
 import numpy as np
 import pytest
-from scipy.sparse import diags, vstack
+from scipy.sparse import csr_matrix, diags, vstack
 from scipy.sparse.linalg import splu
 
 from pnpml.angular import build_basis, coupling_matrices, degree_groups, quadrature_for_order
 from pnpml.assembly import build_operator, explicit_matrices, project_source
+from pnpml.cli import _lattice_physics
 from pnpml.mesh import Disk, GeometrySpec, Mesh2D, Rect, build_mesh, uniform_refine
 from pnpml.pml import extend_coefficients
 import pnpml.solver
 from pnpml.solver import (
     BLOCK_SPATIAL,
     JACOBI,
+    PRECONDITIONERS,
     _OMEGA,
     _SWEEPS,
     BlockSpatialPreconditioner,
@@ -326,6 +328,32 @@ class TestPCG:
         assert rep.final_residual <= 1e-9
 
 
+class TestSchurRhs:
+    """q+ + B^T C^{-1} q-, the second term skipped where q- is zero."""
+
+    def test_zero_odd_load_gives_a_copy_of_the_even_load(self, monkeypatch):
+        _, _, blocks, qp, qm = small_instance()
+        assert not qm.any()  # an isotropic source
+        want = (qp + blocks.apply_transport_t(qm / blocks.c_diag)).ravel()
+
+        def no_transport_t(*args):
+            raise AssertionError("B^T applied to a zero odd load")
+
+        monkeypatch.setattr(type(blocks), "apply_transport_t", no_transport_t)
+        rhs = schur_rhs(blocks, qp, qm)
+        assert rhs.tobytes() == want.tobytes()
+        assert not np.shares_memory(rhs, qp)
+
+    def test_odd_load_adds_the_transport_term(self):
+        mesh, basis, blocks, _, _ = small_instance()
+        q = lambda r, s: (1.0 + r[0]) * (1.0 + s[2] + s[0] * s[2])
+        qp, qm = project_source(mesh, basis, q, isotropic=False)
+        assert qm.any()
+        want = (qp + blocks.apply_transport_t(qm / blocks.c_diag)).ravel()
+        assert schur_rhs(blocks, qp, qm).tobytes() == want.tobytes()
+        assert not np.array_equal(want, qp.ravel())
+
+
 class TestElimination:
     def test_zero_data(self):
         _, _, blocks, _, _ = small_instance()
@@ -508,7 +536,9 @@ class TestVCycle:
         r = RNG.normal(size=shape)
         z = BlockSpatialPreconditioner(flat).apply(r.ravel()).reshape(shape)
         for cols, block in flat.class_blocks():
-            assert z[:, cols].tobytes() == splu(block.tocsc()).solve(r[:, cols]).tobytes()
+            assert np.count_nonzero(block.data) == block.nnz  # no zero for the LU to drop
+            want = pnpml.solver._factor(block).solve(r[:, cols])
+            assert z[:, cols].tobytes() == want.tobytes()
 
     @pytest.mark.usefixtures("float64_hierarchy")
     def test_merged_class_matches_the_per_degree_lu(self):
@@ -734,11 +764,16 @@ class TestOddTermData:
     @pytest.mark.parametrize("kernel", [1.0, [1.0, 0.3, 0.1]])
     def test_terms_are_bitwise_the_sparse_products(self, kernel):
         # xx, yy and the merged cross pair of a full odd class, or both cross
-        # terms of a partial one, after the even term, in class order
+        # terms of a partial one, after the even term, in class order.  The
+        # stacked matrix stores term t of pattern column j in column j k + t,
+        # its nonzero entries only
         mesh, basis, blocks, _, _ = small_instance(5, kernel=kernel)
         a = SchurOperator(blocks)._a
         k = a.shape[1] // mesh.n_vertices
-        terms = a.data.reshape(-1, k).T
+        rows = np.repeat(np.arange(mesh.n_vertices), np.diff(a.indptr))
+        terms = [csr_matrix((a.data[sel], (rows[sel], a.indices[sel] // k)),
+                            shape=(mesh.n_vertices,) * 2)
+                 for sel in (a.indices % k == t for t in range(k))]
         g = (blocks.g_x, blocks.g_y)
         want = []
         for _, cols in blocks.odd_classes:
@@ -752,7 +787,96 @@ class TestOddTermData:
                 want.append(left.T @ diags(np.tile(d, len(pairs))) @ right)
         assert len(want) == k - 1
         for got, ref in zip(terms[1:], want):
-            assert mesh.pattern_matrix(got).toarray().tobytes() == ref.toarray().tobytes()
+            assert got.toarray().tobytes() == ref.toarray().tobytes()
+
+
+@functools.lru_cache
+def lattice_instance():
+    """The lattice preset at N = 3 on the 7 x 7 rect mesh refined once (361
+    vertices).  Its scattering cells have w_0 = 0, and the stiffness terms
+    of its axis-aligned right triangles vanish on many entries, so the P1
+    pattern holds exact zeros in the stacked Schur terms, in the gather of
+    class {2} and in the class block of degree 0."""
+    spec = GeometrySpec(inner=Rect(0, 0, 7, 7), outer=Rect(-1, -1, 8, 8))
+    mesh = uniform_refine(build_mesh(spec, 1.0))
+    mu, kernel, source = _lattice_physics()
+    basis = build_basis(3)
+    coeffs = extend_coefficients(mesh, mu, kernel, source, a=-np.log(1 / 32) / spec.layer_depth)
+    with pytest.warns(UserWarning, match="gamma <= 0"):
+        blocks = build_operator(mesh, basis, coupling_matrices(basis, quadrature_for_order(3)),
+                                coeffs)
+    qp, qm = project_source(mesh, basis, source, isotropic=True)
+    return mesh, basis, blocks, qp, qm
+
+
+def in_full_pattern(fn, *args):
+    """``fn(*args)`` with every CSR matrix keeping its stored zeros, as on
+    the full P1 pattern."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csr_matrix, "eliminate_zeros", lambda self: None)
+        return fn(*args)
+
+
+class TestZeroFreeStorage:
+    """The sparse matrices PCG applies store only their nonzero entries;
+    skipping a product with an exact zero leaves every sum bitwise as it
+    was on the full pattern."""
+
+    def test_schur_terms_and_gathers_store_no_zero(self):
+        mesh, basis, blocks, _, _ = lattice_instance()
+        sub = blocks.restrict(basis.z_even())
+        schur, full = SchurOperator(sub), in_full_pattern(SchurOperator, sub)
+        assert len(schur._gathers) == 1
+        assert np.all(schur._a.data != 0) and schur._a.nnz < full._a.nnz
+        for (cols, a), (full_cols, full_a) in zip(schur._gathers, full._gathers):
+            assert isinstance(cols, slice) and cols == full_cols
+            assert np.all(a.data != 0) and a.nnz < full_a.nnz
+            assert a.toarray().tobytes() == full_a.toarray().tobytes()
+        stored = {}
+        schur.record(stored)
+        assert stored == {"schur_nnz": schur._a.nnz + schur._gathers[0][1].nnz}
+
+    def test_v_cycle_levels_store_no_zero(self):
+        _, basis, blocks, _, _ = lattice_instance()
+        pre = BlockSpatialPreconditioner(blocks.restrict(basis.z_even()))
+        full = in_full_pattern(BlockSpatialPreconditioner, blocks.restrict(basis.z_even()))
+        for levels, full_levels in zip(pre._levels, full._levels):
+            for (a, j, *_), (full_a, full_j, *_) in zip(levels, full_levels):
+                for m, full_m in ((a, full_a), (j, full_j)):
+                    assert np.all(m.data != 0)
+                    assert m.toarray().tobytes() == full_m.toarray().tobytes()
+        # the class block of degree 0 stores zero sums, so its levels lose them
+        assert pre._levels[0][0][0].nnz < full._levels[0][0][0].nnz
+
+    def test_schur_apply_is_bitwise_the_full_pattern(self):
+        _, basis, blocks, _, _ = lattice_instance()
+        for sub_basis in (basis.z_even(), basis.z_odd()):
+            sub = blocks.restrict(sub_basis)
+            x = RNG.normal(size=sub.n_even)
+            want = in_full_pattern(SchurOperator, sub).apply(x)
+            assert np.array_equal(SchurOperator(sub).apply(x), want)
+
+    def test_jacobi_solve_is_bitwise_the_full_pattern(self):
+        _, _, blocks, qp, qm = lattice_instance()
+        fld, rep = solve_system(blocks, qp, qm, precond=JACOBI, tol=1e-7)
+        ref, rep_ref = in_full_pattern(solve_system, blocks, qp, qm, JACOBI, 1e-7)
+        assert rep.converged and np.array_equal(rep.residual_history, rep_ref.residual_history)
+        assert np.array_equal(fld.even, ref.even) and np.array_equal(fld.odd, ref.odd)
+        assert rep.parameters["schur_nnz"] < rep_ref.parameters["schur_nnz"]
+
+    def test_mesh_pattern_unchanged(self):
+        mesh, basis, blocks, _, _ = lattice_instance()
+        indptr, indices = (a.copy() for a in mesh._pattern[:2])
+        sub = blocks.restrict(basis.z_even())
+        SchurOperator(sub)
+        for kind in PRECONDITIONERS:
+            build_preconditioner(sub, kind)
+        for got, want in zip(mesh._pattern, (indptr, indices)):
+            assert np.array_equal(got, want) and not got.flags.writeable
+        # the class blocks keep the whole pattern, zero sums stored
+        (_, block), *_ = sub.class_blocks()
+        assert np.shares_memory(block.indices, mesh._pattern[1])
+        assert np.count_nonzero(block.data) < block.nnz
 
 
 class TestTrends:
@@ -889,7 +1013,11 @@ class TestZParityClasses:
         assert report.residual_history[:first.iterations] == first.residual_history
         assert len(report.residual_history) == first.iterations + 3
         assert (report.dofs_even, report.dofs_odd) == (blocks.n_even, blocks.n_odd)
-        assert report.parameters == {"case": "z-odd fails"}
+        # the failed class's operator was built, and counted, before its PCG
+        stored = {}
+        for sub_basis in (basis.z_even(), basis.z_odd()):
+            SchurOperator(blocks.restrict(sub_basis)).record(stored)
+        assert report.parameters == {"case": "z-odd fails", **stored}
 
     def test_zero_load_solves_nothing(self):
         _, _, blocks, qp, qm = small_instance()
