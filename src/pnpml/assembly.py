@@ -13,9 +13,12 @@ with w_l = mu - sigma_l.  The weights depend on the degree only, and one
 table, ``BlockOperator.collision`` = [w_0 .. w_N], holds them.  Even degrees
 with bitwise equal columns (w_l, k_l) of it and of the diffusion table (see
 :meth:`BlockOperator.class_blocks`) share a coefficient class (isotropic
-kernel: {0} and every l >= 2).  ``BlockOperator`` forms every table from its
-inputs (mesh, basis, T_x, T_y, collision) with one mass block per class, and
-the mass products and both preconditioners run one block per class.
+kernel: {0} and every l >= 2).  ``BlockOperator`` forms each table from its
+inputs (mesh, basis, T_x, T_y, collision) once, on first use, with one mass
+block per class, and the mass products and both preconditioners run one
+block per class.  A solve (:func:`pnpml.solver.solve_system`) forms the
+tables of the restricted operator of each loaded z-parity class only, and
+allocates the full-shape :class:`Field` after the class solves.
 
 Spatial matrices are assembled on the mesh's one P1 pattern
 (:meth:`Mesh2D.assemble`): the mass blocks, R, the class blocks and the
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags, identity, kron
@@ -117,7 +121,12 @@ def _coefficient_classes(w: np.ndarray, k: np.ndarray, degrees: np.ndarray) -> l
 @dataclass
 class BlockOperator:
     """The four system blocks on ``mesh`` and ``basis`` from T_x, T_y and the
-    collision table; M, B and B^T apply matrix-free on (space, mode) arrays."""
+    collision table; M, B and B^T apply matrix-free on (space, mode) arrays.
+
+    The fields are the inputs.  Each derived table is a cached property,
+    formed once, on first use, so an operator whose blocks a solve never
+    reads (the full basis, when only a z-parity class carries load) stays
+    as small as its inputs."""
 
     mesh: Mesh2D
     basis: AngularBasis
@@ -126,32 +135,67 @@ class BlockOperator:
     collision: np.ndarray  # (nt, N + 1): w[:, l] = mu - sigma_l
 
     def __post_init__(self):
-        """Form the odd diagonal ``c_diag`` = |T| w_l, shape (nt, n_minus),
-        reject it if singular, then form the diffusion table k (zero at odd
-        l), the coefficient classes (:func:`_coefficient_classes`) of the
-        even modes, ``classes``, and of the odd modes, ``odd_classes``, one
-        P1 mass per class keyed by each of its degrees, R and G_x, G_y."""
-        mesh, w = self.mesh, self.collision
-        self.c_diag = mesh.areas[:, None] * w[:, self.basis.odd_degrees()]
-        if np.any(self.c_diag == 0):
+        """Reject a singular odd block, |T| w_l = 0 at some triangle and odd
+        degree l of the basis, before any table is formed.  Every other table
+        is formed once, on first use, from the inputs."""
+        odd = np.unique(self.basis.odd_degrees())
+        if np.any(self.mesh.areas[:, None] * self.collision[:, odd] == 0):
             raise NumericalError("odd collision block has zero diagonal entries; "
                                  "the elimination is singular")
+
+    @cached_property
+    def c_diag(self) -> np.ndarray:
+        """The odd diagonal |T| w_l, shape (nt, n_minus)."""
+        return self.mesh.areas[:, None] * self.collision[:, self.basis.odd_degrees()]
+
+    @cached_property
+    def diffusion(self) -> np.ndarray:
+        """The diffusion table k (zero at odd l), shaped as ``collision``;
+        see :meth:`class_blocks`."""
+        w = self.collision
         a = 1.0 / w[:, 1::2]  # 1/w_{l+1} at l = 0, 2, .., N - 1
         b = np.concatenate([a[:, :1], a[:, :-1]], axis=1)  # 1/w_{l-1}, a at l = 0
         l = np.arange(0, w.shape[1], 2)
-        self.diffusion = np.zeros_like(w)
-        self.diffusion[:, ::2] = (a + l * (b - a) / (2 * l + 1)) / 3.0
-        even = self.basis.even_degrees()
-        self.classes, self.odd_classes = (_coefficient_classes(w, self.diffusion, degrees)
-                                          for degrees in (even, self.basis.odd_degrees()))
-        self.mass_blocks = {}
+        k = np.zeros_like(w)
+        k[:, ::2] = (a + l * (b - a) / (2 * l + 1)) / 3.0
+        return k
+
+    @cached_property
+    def classes(self) -> list:
+        """The coefficient classes of the even modes (:func:`_coefficient_classes`)."""
+        return _coefficient_classes(self.collision, self.diffusion, self.basis.even_degrees())
+
+    @cached_property
+    def odd_classes(self) -> list:
+        """The coefficient classes of the odd modes."""
+        return _coefficient_classes(self.collision, self.diffusion, self.basis.odd_degrees())
+
+    @cached_property
+    def mass_blocks(self) -> dict:
+        """One P1 mass per even class, keyed by each of its degrees."""
+        even, blocks = self.basis.even_degrees(), {}
         for l, cols in self.classes:
-            mass = p1_mass(mesh, weight=w[:, l])
-            self.mass_blocks.update(dict.fromkeys(even[cols].tolist(), mass))
-        self.boundary = boundary_mass_matrix(mesh)
-        self.g_x, self.g_y = mesh.gradient_matrices
+            mass = p1_mass(self.mesh, weight=self.collision[:, l])
+            blocks.update(dict.fromkeys(even[cols].tolist(), mass))
+        return blocks
+
+    @cached_property
+    def boundary(self) -> csr_matrix:
+        """R, the P1 boundary mass (:func:`boundary_mass_matrix`)."""
+        return boundary_mass_matrix(self.mesh)
+
+    @property
+    def g_x(self) -> csr_matrix:
+        return self.mesh.gradient_matrices[0]
+
+    @property
+    def g_y(self) -> csr_matrix:
+        return self.mesh.gradient_matrices[1]
+
+    @cached_property
+    def _t_dense(self) -> tuple[np.ndarray, np.ndarray]:
         # dense angular factors (55 x 45 at N = 9) keep B and B^T in C order
-        self._t_dense = (self.t_x.toarray(), self.t_y.toarray())
+        return self.t_x.toarray(), self.t_y.toarray()
 
     @property
     def n_even(self) -> int:
@@ -199,7 +243,7 @@ class BlockOperator:
     def restrict(self, sub_basis: AngularBasis) -> "BlockOperator":
         """The operator on a subset of the angular modes, such as one z-parity
         class (:meth:`AngularBasis.z_even`): T_x and T_y sliced to the
-        sub-basis, and every other table formed anew by the constructor."""
+        sub-basis, and every other table formed anew on first use."""
         even, odd = self.basis.positions(sub_basis)
         return replace(self, basis=sub_basis, t_x=self.t_x[odd][:, even],
                        t_y=self.t_y[odd][:, even])
@@ -234,7 +278,10 @@ def project_source(mesh: Mesh2D, basis: AngularBasis, q,
     Isotropic sources load only the constant angular mode, with weight
     sqrt(4 pi) times the spatial density; their odd load vanishes.  For
     anisotropic sources ``q(r, s)`` the angular moments are computed by
-    sphere quadrature.
+    sphere quadrature, from one call of ``q`` over every (point, node) pair:
+    ``r`` has shape (2, m, 1) and ``s`` shape (3, 1, k), components first, so
+    ``r[0] * s[2]`` is the (m, k) table of x s_z; a result that broadcasts to
+    (m, k), a constant included, is accepted.
     """
     interior = np.flatnonzero(mesh.tags == INTERIOR)
     q_plus = np.zeros((mesh.n_vertices, basis.n_plus))
@@ -255,7 +302,8 @@ def project_source(mesh: Mesh2D, basis: AngularBasis, q,
     odd_tab = basis.evaluate_odd(quad.nodes)
 
     def moments(points, tab):
-        vals = np.array([[q(p, s) for s in quad.nodes] for p in points])
+        vals = q(points.T[:, :, None], quad.nodes.T[:, None, :])
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), (len(points), len(quad.nodes)))
         return vals @ (quad.weights[:, None] * tab)
 
     q_plus[:] = mass_int @ moments(mesh.vertices, even_tab)

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 convergence failure.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -249,6 +250,10 @@ def physics_from_config(cfg: RunConfig):
 
 @dataclass
 class CaseResult:
+    """One solve.  ``blocks`` is the full-basis operator; the solve formed
+    only its restricted operators' tables, so it forms each table that a
+    later reader (an error norm, a residual check) needs on first use."""
+
     field: Field
     report: SolveReport
     mesh: Mesh2D
@@ -378,6 +383,8 @@ def convergence_study(cfg: RunConfig, threads: int = 1):
     cache = _ProblemCache(cfg, levels + [ref_level], sweep_n + [ref_n])
 
     ref = cache.solve_case(ref_n, ref_level, ref_exp_al, tol, max_iter, precond)
+    # the error norms read these reference tables: form them before threads share them
+    ref.blocks._t_dense, ref.blocks.g_x
     cases = [(n, level, exp_al) for n in sweep_n for level in levels
              for exp_al in exp_als]
 
@@ -474,6 +481,13 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _append_run_log(report: SolveReport, cfg: RunConfig) -> None:
+    """Append ``report`` to the run log, with the peak resident set size of
+    the process so far, in MB, as ``peak_rss_mb``."""
+    report.parameters["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    report.append_to(_out_dir(cfg) / "run_log.txt")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="pnpml", description=__doc__)
     parser.add_argument("--tol", type=float, default=None)
@@ -490,8 +504,7 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(RunConfig.load(args.config), args)
         if args.command == "solve":
             case = run_case(cfg)
-            out = _out_dir(cfg)
-            case.report.append_to(out / "run_log.txt")
+            _append_run_log(case.report, cfg)
             print(f"solved: {case.report.iterations} iterations, "
                   f"residual {case.report.final_residual:.3e}, "
                   f"dofs {case.report.dofs_even}+{case.report.dofs_odd}")
@@ -508,7 +521,7 @@ def main(argv=None) -> int:
             out = _out_dir(cfg)
             path = export_field(case.field, case.mesh, case.basis, fmt,
                                 out / f"field.{suffix}")
-            case.report.append_to(out / "run_log.txt")
+            _append_run_log(case.report, cfg)
             print(f"written: {path}")
         return 0
     except (ConfigError, ModelError, GeometryError) as exc:
@@ -516,7 +529,7 @@ def main(argv=None) -> int:
         return 2
     except (ConvergenceError, NumericalError) as exc:
         if isinstance(exc, ConvergenceError) and args.command in ("solve", "export"):
-            exc.report.append_to(_out_dir(cfg) / "run_log.txt")
+            _append_run_log(exc.report, cfg)
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

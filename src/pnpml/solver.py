@@ -33,7 +33,10 @@ symmetric minimum-degree ordering and diagonal pivots.
 For z-invariant problems the system splits exactly into two independent
 z-parity classes (angular modes with l + |m| even or odd).  ``solve_system``
 solves each class that carries load on its own restricted operator and leaves
-the other class at its exact solution, zero.
+the other class at its exact solution, zero.  Only the restricted operators'
+tables are formed (each :class:`BlockOperator` table is formed on first use),
+and the full-shape :class:`Field` is allocated after the class solves, when
+their preconditioners and Schur operators are freed.
 """
 
 from __future__ import annotations
@@ -468,6 +471,28 @@ def _add_class(report: SolveReport, part: SolveReport) -> SolveReport:
     return report
 
 
+def _solve_class(sub: BlockOperator, q_plus: np.ndarray, q_minus: np.ndarray,
+                 precond: str | None, tol: float, max_iter: int,
+                 report: SolveReport) -> tuple[np.ndarray, np.ndarray]:
+    """(u+, v-) of one z-parity class on its restricted operator ``sub``,
+    its PCG report folded into ``report``.  The preconditioner and the Schur
+    operator are freed on return."""
+    pre = None if precond is None else build_preconditioner(sub, precond)
+    if isinstance(pre, BlockSpatialPreconditioner):
+        pre.record(report.parameters)
+    schur = SchurOperator(sub)
+    schur.record(report.parameters)
+    try:
+        x, part = pcg_solve(schur, schur_rhs(sub, q_plus, q_minus),
+                            preconditioner=pre, tol=tol, max_iter=max_iter)
+    except ConvergenceError as exc:
+        exc.report = _add_class(report, exc.report)
+        raise
+    _add_class(report, part)
+    u_plus = x.reshape(sub.mesh.n_vertices, sub.basis.n_plus)
+    return u_plus, recover_odd(sub, q_minus, u_plus)
+
+
 def solve_system(blocks: BlockOperator, q_plus: np.ndarray, q_minus: np.ndarray,
                  precond: str | None = None, tol: float = 1e-7, max_iter: int = 10000,
                  params: dict | None = None) -> tuple[Field, SolveReport]:
@@ -475,40 +500,35 @@ def solve_system(blocks: BlockOperator, q_plus: np.ndarray, q_minus: np.ndarray,
 
     Each z-parity class with a nonzero load is solved on its own restricted
     operator, with a preconditioner of kind ``precond`` (None or a key of
-    PRECONDITIONERS) built for that class.  A class without load is skipped:
-    its solution is exactly zero.  The returned field has the full shape.
-    The report sums iterations and PCG wall time over the solved classes,
-    concatenates their residual histories, and counts the dofs of the full
-    P_N system.  A ConvergenceError carries this report, with the classes
-    solved before the failure merged in.
+    PRECONDITIONERS) built for that class; only the restricted operators'
+    tables are formed.  A class without load is skipped: its solution is
+    exactly zero.  An all-zero ``q_minus`` (as for every isotropic source)
+    is passed to each class as a zero view, not copied.  The returned field
+    has the full shape and is allocated after the class solves.  The report
+    sums iterations and PCG wall time over the solved classes, concatenates
+    their residual histories, and counts the dofs of the full P_N system.  A
+    ConvergenceError carries this report, with the classes solved before
+    the failure merged in.
     """
     if precond is not None and precond not in PRECONDITIONERS:
         raise ValueError(f"unknown preconditioner kind: {precond!r}")
     basis = blocks.basis
-    fld = Field.zeros(blocks.mesh, basis)
     report = SolveReport(residual_history=[], wall_time=0.0, dofs_even=blocks.n_even,
                          dofs_odd=blocks.n_odd, converged=True, parameters=dict(params or {}))
+    odd_load = q_minus.any()
+    solved = []  # (even, odd, u+, v-) per solved class
     for sub_basis in (basis.z_even(), basis.z_odd()):
         even, odd = basis.positions(sub_basis)
-        qp, qm = q_plus[:, even], q_minus[:, odd]
+        qp = q_plus[:, even]
+        qm = q_minus[:, odd] if odd_load else np.broadcast_to(0.0, (q_minus.shape[0], odd.size))
         if not (qp.any() or qm.any()):
             continue
-        sub = blocks.restrict(sub_basis)
-        pre = None if precond is None else build_preconditioner(sub, precond)
-        if isinstance(pre, BlockSpatialPreconditioner):
-            pre.record(report.parameters)
-        schur = SchurOperator(sub)
-        schur.record(report.parameters)
-        try:
-            x, part = pcg_solve(schur, schur_rhs(sub, qp, qm),
-                                preconditioner=pre, tol=tol, max_iter=max_iter)
-        except ConvergenceError as exc:
-            exc.report = _add_class(report, exc.report)
-            raise
-        _add_class(report, part)
-        u_plus = x.reshape(blocks.mesh.n_vertices, sub_basis.n_plus)
+        solved.append((even, odd, *_solve_class(blocks.restrict(sub_basis), qp, qm,
+                                                precond, tol, max_iter, report)))
+    fld = Field.zeros(blocks.mesh, basis)
+    for even, odd, u_plus, v_minus in solved:
         fld.even[:, even] = u_plus
-        fld.odd[:, odd] = recover_odd(sub, qm, u_plus)
+        fld.odd[:, odd] = v_minus
     return fld, report
 
 

@@ -266,6 +266,38 @@ class TestProjectSource:
         assert np.allclose(qp_gen, qp_iso, atol=1e-12)
         assert np.allclose(qm_gen, qm_iso, atol=1e-12)
 
+    @staticmethod
+    def looped_source(mesh, basis, q):
+        """The anisotropic load with ``q`` called once per (point, node)."""
+        interior = np.flatnonzero(mesh.tags == INTERIOR)
+        quad = quadrature_for_order(basis.order)
+
+        def moments(points, tab):
+            vals = np.array([[q(p, s) for s in quad.nodes] for p in points])
+            return vals @ (quad.weights[:, None] * tab)
+
+        q_plus = p1_mass(mesh, triangles=interior) @ moments(mesh.vertices,
+                                                             basis.evaluate_even(quad.nodes))
+        q_minus = np.zeros((mesh.n_triangles, basis.n_minus))
+        q_minus[interior] = mesh.areas[interior, None] * moments(mesh.centroids[interior],
+                                                                 basis.evaluate_odd(quad.nodes))
+        return q_plus, q_minus
+
+    @pytest.mark.parametrize("N", [3, 5])
+    @pytest.mark.parametrize("q", [
+        lambda r, s: 2.0,
+        lambda r, s: (1.0 + r[0]) * (1.0 + s[2] + s[0] * s[2]),
+        lambda r, s: (1.0 + r[0]) * (0.0 + s[2] + s[0] * s[2]),
+        lambda r, s: np.exp(-(r[0] - 0.5) ** 2 - r[1] ** 2) * (1.0 + s[0] * s[1] + s[1]),
+    ], ids=["constant", "both-classes", "z-odd", "sx-sy"])
+    def test_one_call_matches_the_per_node_loop(self, N, q):
+        spec = GeometrySpec(inner=Rect(0, 0, 2, 2), outer=Rect(-1, -1, 3, 3))
+        mesh, basis = build_mesh(spec, 1.0), build_basis(N)
+        got = project_source(mesh, basis, q, isotropic=False)
+        for g, want in zip(got, self.looped_source(mesh, basis, q)):
+            assert g.shape == want.shape
+            assert np.max(np.abs(g - want)) <= 1e-14 * np.max(np.abs(want))
+
 
 class TestKroneckerConsistency:
     @pytest.mark.parametrize("N", [3, 5])
@@ -522,13 +554,18 @@ class TestClasses:
 
         monkeypatch.setattr(pnpml.assembly, "_coefficient_classes", counted)
         op = build_operator(mesh, basis, coup, coeffs)
-        # one grouping of the even degrees and one of the odd ones
+        assert not calls  # the tables are formed on first use
+        # one grouping of the even degrees and one of the odd ones per operator
         for sub_basis in (basis, basis.z_even(), basis.z_odd()):
-            if sub_basis is not basis:
-                op.restrict(sub_basis)
+            sub = op if sub_basis is basis else op.restrict(sub_basis)
+            first = sub.classes, sub.odd_classes
             even, odd = (args[2] for args in calls[-2:])
             assert np.array_equal(even, sub_basis.even_degrees())
             assert np.array_equal(odd, sub_basis.odd_degrees())
+            # a second access forms nothing
+            formed = len(calls)
+            assert sub.classes is first[0] and sub.odd_classes is first[1]
+            assert len(calls) == formed
         assert len(calls) == 6
 
     @pytest.mark.parametrize("kernel", [10.0, [1.0, 0.3, 0.1]], ids=["isotropic", "anisotropic"])
@@ -569,12 +606,16 @@ class TestClasses:
 
         monkeypatch.setattr(pnpml.assembly, "p1_mass", counted)
         op = build_operator(mesh, basis, coup, coeffs)
+        assert not calls  # the tables are formed on first use
         assert len(op.classes) == n_classes
         for sub_basis in (basis, basis.z_even(), basis.z_odd()):
-            # each construction assembles one mass per class, restrict included
+            # each operator assembles one mass per class on first access, restrict included
             sub = op if sub_basis is basis else op.restrict(sub_basis)
+            masses = sub.mass_blocks
             weights = calls.copy()
             calls.clear()
+            # a second access forms nothing
+            assert sub.mass_blocks is masses and not calls
             assert len(weights) == len(sub.classes)
             degrees = sub.basis.even_degrees()
             assert sorted(sub.mass_blocks) == np.unique(degrees).tolist()

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pnpml.assembly import Field
+import pnpml.assembly
+from pnpml.assembly import BlockOperator, Field
 from pnpml.cli import (
     CONFIG_KEYS,
     CSV_HEADER,
@@ -146,6 +148,73 @@ class TestRunCase:
         assert c1.report.residual_history == c2.report.residual_history
         assert np.array_equal(c1.field.even, c2.field.even)
         assert np.array_equal(c1.field.odd, c2.field.odd)
+
+
+# the disk-scatter benchmark case (perfbench/workloads.py) one level coarser
+DISK_SCATTER_L1 = """
+geometry.kind = disk
+geometry.inner = 0 0 1.0
+geometry.outer = 0 0 1.2
+physics.mu = 10.1
+physics.kernel = 10.0
+physics.source = gaussian 0.75 0 5.0
+disc.base_h = 0.08
+disc.n = 9
+disc.level = 1
+pml.exp_al = 0.03125
+solver.tol = 1e-7
+solver.max_iter = 20000
+solver.precond = block_spatial
+"""
+
+# every table BlockOperator forms on first use
+OPERATOR_TABLES = ("c_diag", "diffusion", "classes", "odd_classes", "mass_blocks",
+                   "boundary", "_t_dense")
+
+
+class TestOperatorTablesOnFirstUse:
+    """An isotropic source loads the z-even class only, so run_case forms the
+    tables of that restricted operator and none of the full-basis one."""
+
+    def test_solve_forms_no_full_basis_table(self, monkeypatch):
+        calls = {"p1_mass": 0, "boundary_mass_matrix": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(pnpml.assembly, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(pnpml.assembly, name, counted)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            case = run_case(RunConfig.parse(DISK_SCATTER_L1))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert case.report.iterations == 44
+        assert not {"c_diag", "mass_blocks", "classes"} & set(vars(case.blocks))
+        # two z-even classes, one mass each, and the interior mass of the load
+        assert calls == {"p1_mass": 3, "boundary_mass_matrix": 1}
+        assert peak <= 17 * 2**20
+
+    def test_fields_equal_a_solve_with_every_table_formed_first(self, monkeypatch):
+        cfg = RunConfig.parse(DISK_SCATTER_L1)
+        lazy = run_case(cfg)
+        post_init = BlockOperator.__post_init__
+
+        def eager(op):
+            post_init(op)
+            for name in (*OPERATOR_TABLES, "g_x", "g_y"):
+                getattr(op, name)
+
+        monkeypatch.setattr(BlockOperator, "__post_init__", eager)
+        formed = run_case(cfg)
+        assert set(OPERATOR_TABLES) <= set(vars(formed.blocks))
+        assert lazy.report.residual_history == formed.report.residual_history
+        assert np.array_equal(lazy.field.even, formed.field.even)
+        assert np.array_equal(lazy.field.odd, formed.field.odd)
 
 
 class TestStudy:
@@ -567,6 +636,19 @@ class TestMain:
         stored = {}
         SchurOperator(case.blocks.restrict(case.basis.z_even())).record(stored)
         assert int(entries["schur_nnz"]) == stored["schur_nnz"] > 0
+
+    @pytest.mark.parametrize("command, extra, code", [
+        ("solve", "", 0),
+        ("solve", "solver.max_iter = 2\nsolver.tol = 1e-13\n", 3),
+        ("export", "", 0),
+    ], ids=["solve", "failed-solve", "export"])
+    def test_run_log_records_peak_rss(self, tmp_path, command, extra, code):
+        path = self._write(tmp_path, EXAMPLE1 + extra)
+        assert main(["--out-dir", str(tmp_path / "out"), command, path]) == code
+        log = (tmp_path / "out" / "run_log.txt").read_text().splitlines()
+        entries = dict(line.split(" = ", 1) for line in log if " = " in line)
+        assert entries["converged"] == str(code == 0)
+        assert float(entries["peak_rss_mb"]) > 0
 
     def test_tol_override(self, tmp_path):
         path = self._write(tmp_path, EXAMPLE1)
