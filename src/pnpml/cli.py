@@ -13,11 +13,15 @@ Exit codes: 0 success, 2 configuration error, 3 convergence failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import resource
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -261,6 +265,84 @@ class CaseResult:
     blocks: BlockOperator
 
 
+class _BlasPool(NamedTuple):
+    """The thread-count pair one loaded OpenBLAS library exports."""
+
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+# the get/set names of numpy's wheel (ILP64), scipy's wheel and a system build
+_BLAS_THREAD_FUNCTIONS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                          "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+@functools.cache
+def _blas_pools() -> tuple[_BlasPool, ...]:
+    """The OpenBLAS thread pools loaded in this process, found once from the
+    libraries in ``/proc/self/maps`` whose path contains ``openblas``;
+    empty on other platforms or BLAS builds."""
+    try:
+        with open("/proc/self/maps") as maps:
+            # a mapping's path is its sixth field, the only one that can hold a name
+            paths = dict.fromkeys(line.split(maxsplit=5)[5].rstrip("\n")
+                                  for line in maps if "openblas" in line)
+    except OSError:
+        return ()
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already mapped, so this loads nothing new
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_FUNCTIONS:
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                pools.append(_BlasPool(get, set_))
+                break
+    return tuple(pools)
+
+
+def _blas_threads() -> int | str:
+    """The thread count of the first OpenBLAS pool, or ``unknown``."""
+    pools = _blas_pools()
+    return pools[0].get() if pools else "unknown"
+
+
+class _OneBlasThread:
+    """Context manager running its body with every OpenBLAS pool on one
+    thread.  Entries may nest and come from several threads: the first entry
+    saves each pool's count and sets it to 1, the last exit restores it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list[tuple[_BlasPool, int]] = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [(pool, pool.get()) for pool in _blas_pools()]
+                for pool, _ in self._saved:
+                    pool.set(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for pool, count in self._saved:
+                    pool.set(count)
+                self._saved = []
+
+
+# the pools are process-wide, so one guard serves every study of the process
+_one_blas_thread = _OneBlasThread()
+
+
 class _ProblemCache:
     """Everything the cases of one run share, built before any solve: the
     geometry and physics, the mesh chain ``meshes[0..max(levels)]`` and the
@@ -304,6 +386,7 @@ class _ProblemCache:
             "precond": precond_kind, "gamma": coeffs.gamma,
             "big_gamma": coeffs.big_gamma, "n_plus": basis.n_plus,
             "n_minus": basis.n_minus, "coefficient_sampling": "centroid",
+            "blas_threads": _blas_threads(),
         }
         params.update({f"config.{k}": v for k, v in self.cfg.data.items()})
         fld, report = solve_system(blocks, q_plus, q_minus, precond=precond_kind,
@@ -366,7 +449,9 @@ def _error_vs_reference(cache: _ProblemCache, case: CaseResult, level: int,
 def convergence_study(cfg: RunConfig, threads: int = 1):
     """Sweep (N, level, exp_al) against a fine nested self-reference.
 
-    Returns (rows, csv_text); each row is a dict with the CSV fields.
+    Returns (rows, csv_text); each row is a dict with the CSV fields.  The
+    solves and error norms run with every OpenBLAS pool on one thread, the
+    previous counts restored on return; ``threads`` workers run the cases.
     """
     cfg.check_keys()
     sweep_n = cfg.get_ints("study.n")
@@ -380,35 +465,38 @@ def convergence_study(cfg: RunConfig, threads: int = 1):
         raise ConfigError("the reference level must be at least as fine as the sweep")
     if ref_n < max(sweep_n):
         raise ConfigError("the reference order must be at least the largest swept order")
-    cache = _ProblemCache(cfg, levels + [ref_level], sweep_n + [ref_n])
+    # one BLAS thread: the --threads workers are the study's parallelism, and
+    # the rows do not depend on the process's BLAS thread count
+    with _one_blas_thread:
+        cache = _ProblemCache(cfg, levels + [ref_level], sweep_n + [ref_n])
 
-    ref = cache.solve_case(ref_n, ref_level, ref_exp_al, tol, max_iter, precond)
-    # the error norms read these reference tables: form them before threads share them
-    ref.blocks._t_dense, ref.blocks.g_x
-    cases = [(n, level, exp_al) for n in sweep_n for level in levels
-             for exp_al in exp_als]
+        ref = cache.solve_case(ref_n, ref_level, ref_exp_al, tol, max_iter, precond)
+        # the error norms read these reference tables: form them before threads share them
+        ref.blocks._t_dense, ref.blocks.g_x
+        cases = [(n, level, exp_al) for n in sweep_n for level in levels
+                 for exp_al in exp_als]
 
-    def run_one(args):
-        n, level, exp_al = args
-        case = cache.solve_case(n, level, exp_al, tol, max_iter, precond)
-        e_h = _error_vs_reference(cache, case, level, ref, ref_level)
-        return {
-            "N": n, "h": case.mesh.h, "exp_al": exp_al, "e_h": e_h,
-            "iters": case.report.iterations, "seconds": case.report.wall_time,
-            "dofs_even": case.report.dofs_even, "dofs_odd": case.report.dofs_odd,
-        }
+        def run_one(args):
+            n, level, exp_al = args
+            case = cache.solve_case(n, level, exp_al, tol, max_iter, precond)
+            e_h = _error_vs_reference(cache, case, level, ref, ref_level)
+            return {
+                "N": n, "h": case.mesh.h, "exp_al": exp_al, "e_h": e_h,
+                "iters": case.report.iterations, "seconds": case.report.wall_time,
+                "dofs_even": case.report.dofs_even, "dofs_odd": case.report.dofs_odd,
+            }
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_one, cases))
-    else:
-        rows = [run_one(c) for c in cases]
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                rows = list(pool.map(run_one, cases))
+        else:
+            rows = [run_one(c) for c in cases]
 
-    rows.append({
-        "N": ref_n, "h": ref.mesh.h, "exp_al": ref_exp_al, "e_h": 0.0,
-        "iters": ref.report.iterations, "seconds": ref.report.wall_time,
-        "dofs_even": ref.report.dofs_even, "dofs_odd": ref.report.dofs_odd,
-    })
+        rows.append({
+            "N": ref_n, "h": ref.mesh.h, "exp_al": ref_exp_al, "e_h": 0.0,
+            "iters": ref.report.iterations, "seconds": ref.report.wall_time,
+            "dofs_even": ref.report.dofs_even, "dofs_odd": ref.report.dofs_odd,
+        })
 
     lines = [CSV_HEADER]
     for r in rows:
@@ -501,6 +589,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = _apply_overrides(RunConfig.load(args.config), args)
         if args.command == "solve":
             case = run_case(cfg)
@@ -509,7 +599,7 @@ def main(argv=None) -> int:
                   f"residual {case.report.final_residual:.3e}, "
                   f"dofs {case.report.dofs_even}+{case.report.dofs_odd}")
         elif args.command == "study":
-            rows, csv_text = convergence_study(cfg, threads=max(1, args.threads))
+            rows, csv_text = convergence_study(cfg, threads=args.threads)
             csv_path = _out_dir(cfg) / "study.csv"
             csv_path.write_text(csv_text)
             print(csv_text, end="")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -8,12 +9,14 @@ import numpy as np
 import pytest
 
 import pnpml.assembly
+import pnpml.cli
 from pnpml.assembly import BlockOperator, Field
 from pnpml.cli import (
     CONFIG_KEYS,
     CSV_HEADER,
     ConfigError,
     RunConfig,
+    _blas_pools,
     _source_from_config,
     angular_mean,
     convergence_study,
@@ -24,7 +27,7 @@ from pnpml.cli import (
 )
 from pnpml.mesh import Disk, GeometrySpec, Rect, build_mesh
 from pnpml.angular import build_basis
-from pnpml.solver import SchurOperator
+from pnpml.solver import ConvergenceError, SchurOperator
 
 EXAMPLE1 = """
 # disk with an absorbing shell
@@ -298,6 +301,105 @@ class TestStudy:
             convergence_study(cfg)
 
 
+needs_blas_pool = pytest.mark.skipif(not _blas_pools(), reason="no OpenBLAS pool loaded")
+
+
+def _set_blas_threads(count):
+    for pool in _blas_pools():
+        pool.set(count)
+
+
+@pytest.fixture
+def blas_threads_restored():
+    """Puts each OpenBLAS pool back to its count from before the test."""
+    before = [pool.get() for pool in _blas_pools()]
+    yield
+    for pool, count in zip(_blas_pools(), before):
+        pool.set(count)
+
+
+def _case_reports(monkeypatch):
+    """Every case report a run makes from now on, in the order they end."""
+    reports = []
+    real_solve = pnpml.cli._ProblemCache.solve_case
+
+    def recording_solve(self, *args, **kwargs):
+        case = real_solve(self, *args, **kwargs)
+        reports.append(case.report)
+        return case
+
+    monkeypatch.setattr(pnpml.cli._ProblemCache, "solve_case", recording_solve)
+    return reports
+
+
+@pytest.mark.usefixtures("blas_threads_restored")
+class TestStudyBlasThreads:
+    @needs_blas_pool
+    @pytest.mark.parametrize("extra", ["", "solver.max_iter = 2\nsolver.tol = 1e-13\n"],
+                             ids=["returns", "raises"])
+    def test_pools_get_their_counts_back(self, extra):
+        _set_blas_threads(2)
+        before = [pool.get() for pool in _blas_pools()]
+        cfg = RunConfig.parse(STUDY + extra)
+        if extra:
+            with pytest.raises(ConvergenceError):
+                convergence_study(cfg)
+        else:
+            convergence_study(cfg)
+        assert [pool.get() for pool in _blas_pools()] == before
+
+    @needs_blas_pool
+    def test_rows_do_not_depend_on_the_process_blas_threads(self):
+        # on this mesh two BLAS threads move e_h by about 4e-15 when the
+        # study keeps the process's count
+        cfg = RunConfig.parse(STUDY)
+        cfg.data["disc.base_h"] = "0.1"
+        rows = {}
+        for count in (2, 1):
+            _set_blas_threads(count)
+            rows[count] = [{k: v for k, v in r.items() if k != "seconds"}
+                           for r in convergence_study(cfg, threads=2)[0]]
+        assert rows[1] == rows[2]
+
+    @needs_blas_pool
+    def test_case_reports_record_the_blas_threads(self, monkeypatch):
+        _set_blas_threads(2)
+        reports = _case_reports(monkeypatch)
+        rows, _ = convergence_study(RunConfig.parse(STUDY), threads=2)
+        assert len(reports) == len(rows) == 3
+        assert all(r.parameters["blas_threads"] == 1 for r in reports)
+        default = _blas_pools()[0].get()
+        assert run_case(RunConfig.parse(EXAMPLE1)).report.parameters["blas_threads"] == default
+
+    def test_study_without_a_pool_records_unknown(self, monkeypatch):
+        monkeypatch.setattr(pnpml.cli, "_blas_pools", lambda: ())
+        reports = _case_reports(monkeypatch)
+        rows, _ = convergence_study(RunConfig.parse(STUDY))
+        assert len(rows) == 3
+        assert [r.parameters["blas_threads"] for r in reports] == ["unknown"] * 3
+
+    @needs_blas_pool
+    def test_nested_entries_from_two_threads_restore_at_the_last_exit(self):
+        _set_blas_threads(2)
+        before = [pool.get() for pool in _blas_pools()]
+        guard = pnpml.cli._one_blas_thread
+        inner_done = threading.Event()
+
+        def inner():
+            with guard:
+                assert [pool.get() for pool in _blas_pools()] == [1] * len(before)
+            inner_done.set()
+
+        with guard:
+            worker = threading.Thread(target=inner)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive() and inner_done.is_set()
+            # the inner exit was not the last one
+            assert [pool.get() for pool in _blas_pools()] == [1] * len(before)
+        assert [pool.get() for pool in _blas_pools()] == before
+
+
 class TestExport:
     def _mesh_basis(self):
         spec = GeometrySpec(inner=Rect(0, 0, 1, 1), outer=Rect(-1, -1, 2, 2))
@@ -455,6 +557,17 @@ class TestMain:
         read = set(re.findall(r'cfg\.(?:get\w*|require)\("([a-z_]+\.[a-z_]+)"', source))
         read |= set(re.findall(r'cfg\.data\["([a-z_]+\.[a-z_]+)"\]', source))
         assert read == CONFIG_KEYS and len(CONFIG_KEYS) == 21
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_fail_fast(self, tmp_path, monkeypatch, capsys, threads):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study must not start")
+
+        monkeypatch.setattr(pnpml.cli, "convergence_study", no_study)
+        path = self._write(tmp_path, STUDY)
+        code = main(["--threads", threads, "--out-dir", str(tmp_path / "out"), "study", path])
+        assert code == 2
+        assert "--threads must be at least 1" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         path = self._write(tmp_path, EXAMPLE1.replace("disc.n = 3", "disc.n = 4"))

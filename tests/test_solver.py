@@ -99,6 +99,29 @@ class TestSchurApply:
             sx, sy = op.apply(x), op.apply(y)
             assert abs(x @ sy - y @ sx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
+    @pytest.mark.parametrize("kernel", [1.0, [1.0, 0.5, 0.2]], ids=["isotropic", "anisotropic"])
+    def test_reused_product_buffer_gives_the_unbuffered_apply(self, kernel):
+        # the GEMM writes into one buffer per operator: each apply must still
+        # equal a fresh product bitwise, and an earlier result stay untouched
+        _, basis, blocks, _, _ = small_instance(5, kernel)
+        op = SchurOperator(blocks.restrict(basis.z_even()))
+        nv, n = op.blocks.mesh.n_vertices, op.blocks.basis.n_plus
+
+        def unbuffered(x):
+            u = x.reshape(nv, n)
+            out = op._a @ (u @ op._w).reshape(op._a.shape[1], n)
+            for cols, a in op._gathers:
+                out[:, cols] += a @ u[:, cols]
+            return out.ravel()
+
+        x1, x2 = RNG.normal(size=op.n), RNG.normal(size=op.n)
+        y1 = op.apply(x1)
+        kept = y1.copy()
+        y2 = op.apply(x2)
+        assert np.array_equal(y1, unbuffered(x1))
+        assert np.array_equal(y2, unbuffered(x2))
+        assert np.array_equal(y1, kept)
+
     def test_matches_dense_oracle(self):
         _, _, blocks, _, _ = small_instance()
         m_e, r_e, b_e, c_e = explicit_matrices(blocks)
