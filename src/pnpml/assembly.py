@@ -92,9 +92,10 @@ def p1_stiffness_terms(mesh: Mesh2D, terms: list) -> list[np.ndarray]:
     :attr:`Mesh2D.gradient_matrices`, for each (weight, pairs) of ``terms``:
     one :meth:`Mesh2D.assemble` per term, so each entry sums its triangles
     pair by pair, in the order of the sparse products."""
-    # the products run with the triangles innermost, (2, 3, nt), and land in
-    # the (pair, nt, 3, 3) values through a transposed view of them
-    g = mesh.gradients.transpose(0, 2, 1).copy()
+    # the products run with the triangles innermost, as the gradients are
+    # stored, (2, 3, nt), and land in the (pair, nt, 3, 3) values through a
+    # transposed view of them
+    g = mesh.gradients
     data = []
     for w, pairs in terms:
         i, j = np.array(pairs).T

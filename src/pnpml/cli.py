@@ -346,8 +346,10 @@ _one_blas_thread = _OneBlasThread()
 class _ProblemCache:
     """Everything the cases of one run share, built before any solve: the
     geometry and physics, the mesh chain ``meshes[0..max(levels)]`` and the
-    basis and couplings ``angular[n]`` of every order.  Read-only after
-    construction, so study threads share it without a lock."""
+    basis and couplings ``angular[n]`` of every order.  No case writes to
+    it, but its meshes form their derived tables on first use: those are
+    deterministic, so study threads share it without a lock and a first
+    use raced from two threads forms equal tables."""
 
     def __init__(self, cfg: RunConfig, levels: list[int], orders: list[int]):
         if min(levels) < 0:

@@ -253,8 +253,9 @@ class Mesh2D:
     @cached_property
     def gradients(self) -> np.ndarray:
         """|T| d_i(phi_a), i = x, y, of the basis function of each corner a,
-        (2, nt, 3): the opposite edge turned a quarter counterclockwise, halved."""
-        ex, ey = self._corners[:, 2:, [1, 2, 0]].transpose(1, 0, 2)
+        (2, 3, nt), triangles innermost: the opposite edge turned a quarter
+        counterclockwise, halved."""
+        ex, ey = self._corners[:, 2:, [1, 2, 0]].transpose(1, 2, 0)
         return np.ascontiguousarray([-0.5 * ey, 0.5 * ex])
 
     @cached_property
@@ -264,7 +265,7 @@ class Mesh2D:
         rows = np.repeat(np.arange(self.n_triangles), 3)
         cols = self.triangles.ravel()
         shape = (self.n_triangles, self.n_vertices)
-        return tuple(csr_matrix((g.ravel(), (rows, cols)), shape=shape) for g in self.gradients)
+        return tuple(csr_matrix((g.T.ravel(), (rows, cols)), shape=shape) for g in self.gradients)
 
     @cached_property
     def _edges(self) -> _EdgeTable:
@@ -309,17 +310,6 @@ class Mesh2D:
         indptr.flags.writeable = indices.flags.writeable = False
         return indptr, indices, scatter
 
-    @cached_property
-    def _boundary_scatter(self) -> np.ndarray:
-        """The position on the P1 pattern of the local pairs (a, a), (a, b),
-        (b, a), (b, b) of each boundary edge (a, b), (nb, 4): read from the
-        scatter of the one triangle t that holds it, where it is local edge
-        k = (t[k], t[k+1])."""
-        first = self._edges.first[self._edges.counts == 1]
-        t, k = first // 3, first % 3
-        k1 = (k + 1) % 3
-        return self._pattern[2][t[:, None], np.column_stack([4 * k, 3 * k + k1, 3 * k1 + k, 4 * k1])]
-
     def pattern_matrix(self, data: np.ndarray) -> csr_matrix:
         """The CSR matrix holding ``data`` on the P1 pattern; all such
         matrices share the pattern's read-only indptr and indices, so a
@@ -327,26 +317,16 @@ class Mesh2D:
         indptr, indices, _ = self._pattern
         return csr_matrix((data, indices, indptr), shape=(self.n_vertices,) * 2)
 
-    def _sum(self, scatter: np.ndarray, local: np.ndarray) -> np.ndarray:
-        """The data on the P1 pattern summing ``local`` values (..., k, p, p)
-        at the pattern positions ``scatter`` (k, p * p), in one bincount over
-        the scatter broadcast across the leading axes: each entry adds its
-        values in the order of the flattened ``local``."""
-        index = np.broadcast_to(scatter, local.shape[:-3] + scatter.shape)
-        return np.bincount(index.ravel(), weights=local.ravel(), minlength=self._pattern[1].size)
-
     def assemble(self, local: np.ndarray, triangles: np.ndarray | None = None) -> np.ndarray:
         """The data on the P1 pattern (:meth:`pattern_matrix`) summing local
-        values (..., k, 3, 3) of ``triangles`` (default all), entry (a, b) at
-        (t[a], t[b]), over every leading axis too."""
-        scatter = self._pattern[2]
-        return self._sum(scatter if triangles is None else scatter[triangles], local)
-
-    def assemble_boundary(self, local: np.ndarray) -> np.ndarray:
-        """The data on the P1 pattern summing local values (nb, 2, 2) of the
-        boundary edges (:attr:`boundary_edges`), entry (a, b) at (e[a], e[b])
-        of edge e."""
-        return self._sum(self._boundary_scatter, local)
+        values (..., k, 3, 3) of ``triangles`` (default all; one may repeat),
+        entry (a, b) at (t[a], t[b]), over every leading axis too: one
+        bincount over the triangles' positions broadcast across the leading
+        axes, so each entry adds its values in the order of the flattened
+        ``local``."""
+        scatter = self._pattern[2] if triangles is None else self._pattern[2][triangles]
+        index = np.broadcast_to(scatter, local.shape[:-3] + scatter.shape)
+        return np.bincount(index.ravel(), weights=local.ravel(), minlength=self._pattern[1].size)
 
     @cached_property
     def prolongation(self) -> csr_matrix:
@@ -381,24 +361,27 @@ class Mesh2D:
         flat = np.arange(edge.size).reshape(edge.shape)
         # the flat positions 3t + k of an interior edge's two holders sum to its total
         total = np.bincount(edge.ravel(), weights=flat.ravel()).astype(np.int64)
-        inner = counts[edge] == 2
-        bidx = np.cumsum(counts == 1) - 1
-        return np.where(inner, (total[edge] - flat) // 3, -1), np.where(inner, -1, bidx[edge])
+        owner, local = self._boundary[3:]
+        bnd = np.full(edge.shape, -1)
+        bnd[owner, local] = np.arange(owner.size)
+        return np.where(counts[edge] == 2, (total[edge] - flat) // 3, -1), bnd
 
     @cached_property
-    def _boundary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(edges, outward normals, lengths, owner triangles) of the outer
-        boundary: the edges of the table that one triangle holds."""
+    def _boundary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(edges, outward normals, lengths, owner triangles, local edges) of
+        the outer boundary: the edges of the table that one triangle t holds,
+        edge e = (t[k], t[k+1]) at local edge k."""
         table = self._edges
         bdry = table.counts == 1
-        be, owner = table.ends[bdry], table.first[bdry] // 3
+        be = table.ends[bdry]
+        owner, local = np.divmod(table.first[bdry], 3)
         # outward normal: rotate the (oriented) edge tangent; with CCW
         # triangles the edge (a, b) traverses the boundary CCW, so the
         # outward normal is the clockwise rotation of the tangent
         tang = self.vertices[be[:, 1]] - self.vertices[be[:, 0]]
         lengths = np.linalg.norm(tang, axis=1)
         nrm = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
-        return be, nrm, lengths, owner
+        return be, nrm, lengths, owner, local
 
     @property
     def boundary_edges(self) -> np.ndarray:
@@ -575,7 +558,14 @@ def boundary_mass_matrix(mesh: Mesh2D) -> csr_matrix:
     """P1 mass matrix over the outer boundary curve, on the mesh's P1 pattern:
     nonzero exactly at the boundary pairs, so rows and columns of interior
     vertices hold stored zeros only."""
-    return mesh.pattern_matrix(mesh.assemble_boundary(edge_local_mass(mesh.boundary_lengths)))
+    # each edge's 2 x 2 at the corners (k, k+1) of its owner's local edge k,
+    # zeros elsewhere: adding +0.0 leaves every sum as the edge terms give it
+    _, _, lengths, owners, k = mesh._boundary
+    ends = np.column_stack([k, (k + 1) % 3])
+    local = np.zeros((owners.size, 3, 3))
+    local[np.arange(owners.size)[:, None, None], ends[:, :, None], ends[:, None, :]] = \
+        edge_local_mass(lengths)
+    return mesh.pattern_matrix(mesh.assemble(local, owners))
 
 
 def submesh_interior(mesh: Mesh2D) -> tuple[Mesh2D, np.ndarray, np.ndarray]:

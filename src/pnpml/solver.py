@@ -428,53 +428,49 @@ def pcg_solve(apply_s, rhs: np.ndarray, preconditioner=None, tol: float = 1e-7,
     report = SolveReport(residual_history=[], wall_time=0.0, dofs_even=rhs.size, dofs_odd=0,
                          converged=True)
     x = np.zeros_like(rhs)
-    if rhs_norm == 0.0:
-        report.wall_time = time.perf_counter() - t0
-        return x, report
+    converged = rhs_norm == 0.0  # x = 0 solves a zero right-hand side
+    if not converged:
+        r = rhs.copy()
+        z = psolve(r)  # r itself without a preconditioner
+        p = z.copy()
+        scratch = np.empty_like(rhs)
+        rz = float(r @ z)
+        for k in range(1, max_iter + 1):
+            sp = matvec(p)
+            curvature = float(p @ sp)
+            if not curvature > 0.0:  # also trips on NaN
+                raise NumericalError(
+                    f"curvature {curvature} at iteration {k}: operator is not SPD "
+                    "or the data are not finite")
+            alpha = rz / curvature
+            x += np.multiply(p, alpha, out=scratch)
+            if k % 50 == 0:
+                r = rhs - matvec(x)
+            else:
+                r -= np.multiply(sp, alpha, out=scratch)
+            rel = float(np.linalg.norm(r)) / rhs_norm
+            if rel <= tol:
+                # confirm with the true residual before declaring success
+                r = rhs - matvec(x)
+                rel = float(np.linalg.norm(r)) / rhs_norm
+            report.residual_history.append(rel)
+            if rel <= tol:
+                converged = True
+                break
+            z = psolve(r)
+            rz_new = float(r @ z)
+            beta = rz_new / rz
+            rz = rz_new
+            p *= beta
+            p += z
 
-    r = rhs.copy()
-    z = psolve(r)  # r itself without a preconditioner
-    p = z.copy()
-    scratch = np.empty_like(rhs)
-    rz = float(r @ z)
-    for k in range(1, max_iter + 1):
-        sp = matvec(p)
-        curvature = float(p @ sp)
-        if not curvature > 0.0:  # also trips on NaN
-            raise NumericalError(
-                f"curvature {curvature} at iteration {k}: operator is not SPD "
-                "or the data are not finite")
-        alpha = rz / curvature
-        x += np.multiply(p, alpha, out=scratch)
-        if k % 50 == 0:
-            r = rhs - matvec(x)
-        else:
-            r -= np.multiply(sp, alpha, out=scratch)
-        rel = float(np.linalg.norm(r)) / rhs_norm
-        report.residual_history.append(rel)
-        if rel <= tol:
-            # confirm with the true residual before declaring success
-            r_true = rhs - matvec(x)
-            rel_true = float(np.linalg.norm(r_true)) / rhs_norm
-            if rel_true <= tol:
-                report.residual_history[-1] = rel_true
-                report.wall_time = time.perf_counter() - t0
-                return x, report
-            r = r_true
-            rel = rel_true
-            report.residual_history[-1] = rel_true
-        z = psolve(r)
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        rz = rz_new
-        p *= beta
-        p += z
-
-    report.converged = False
+    report.converged = converged
     report.wall_time = time.perf_counter() - t0
-    raise ConvergenceError(
-        f"PCG did not reach tol={tol:g} in {max_iter} iterations "
-        f"(final relative residual {report.residual_history[-1]:.3e})", report)
+    if not converged:
+        raise ConvergenceError(
+            f"PCG did not reach tol={tol:g} in {max_iter} iterations "
+            f"(final relative residual {report.residual_history[-1]:.3e})", report)
+    return x, report
 
 
 def _add_class(report: SolveReport, part: SolveReport) -> SolveReport:

@@ -176,6 +176,15 @@ class TestBuildRect:
         assert mesh.areas.sum() == pytest.approx(81.0, rel=1e-12)
         assert np.all(mesh.areas > 0)
 
+    def test_gradients_stored_with_the_triangles_innermost(self):
+        # the layout the stiffness products read, so they use it uncopied
+        mesh = build_mesh(rect_spec(), 1.0)
+        g = mesh.gradients
+        assert g.shape == (2, 3, mesh.n_triangles) and g.flags.c_contiguous
+        for g_i, gm in zip(g, mesh.gradient_matrices):
+            rows = gm.toarray()[np.arange(mesh.n_triangles)[:, None], mesh.triangles]
+            assert np.array_equal(rows, g_i.T)
+
     def test_misaligned_h_rejected(self):
         with pytest.raises(GeometryError):
             build_mesh(rect_spec(), 0.7)
@@ -526,6 +535,21 @@ class TestNeighbours:
                     assert set(mesh.boundary_edges[b]) == edge
                     assert mesh.boundary_owners[b] == t
             assert np.array_equal(np.sort(bnd[bnd >= 0]), np.arange(mesh.boundary_edges.shape[0]))
+
+    @pytest.mark.parametrize("spec,h", [(example1_spec(), 0.08), (rect_spec(), 1.0)],
+                             ids=["disk", "rect"])
+    def test_boundary_column_is_the_boundary_record(self, spec, h):
+        mesh = build_mesh(spec, h)
+        _, bnd = mesh._neighbours
+        owners, local = mesh._boundary[3:]
+        nb = owners.size
+        assert np.array_equal(bnd[owners, local], np.arange(nb))
+        others = np.ones(bnd.shape, dtype=bool)
+        others[owners, local] = False
+        assert np.all(bnd[others] == -1)
+        if isinstance(spec.inner, Rect):
+            # a triangle at an outer corner owns two boundary edges
+            assert np.bincount(owners).max() == 2
 
 
 class TestAsciiIO:
