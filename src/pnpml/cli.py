@@ -7,7 +7,7 @@ Configs are flat ``section.key = value`` text files.  Subcommands:
                     written as CSV
   export <config>   solve and write the per-vertex angular mean (CSV or VTK)
 
-Exit codes: 0 success, 2 configuration error, 3 convergence failure.
+Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -345,16 +345,18 @@ _one_blas_thread = _OneBlasThread()
 
 class _ProblemCache:
     """Everything the cases of one run share, built before any solve: the
-    geometry and physics, the mesh chain ``meshes[0..max(levels)]`` and the
-    basis and couplings ``angular[n]`` of every order.  No case writes to
-    it, but its meshes form their derived tables on first use: those are
-    deterministic, so study threads share it without a lock and a first
+    solver settings, the geometry and physics, the mesh chain
+    ``meshes[0..max(levels)]`` and the basis and couplings ``angular[n]`` of
+    every order.  No case writes to it, but its meshes, like the study's
+    reference operator, form their derived tables on first use: those are
+    deterministic, so study threads share them without a lock and a first
     use raced from two threads forms equal tables."""
 
     def __init__(self, cfg: RunConfig, levels: list[int], orders: list[int]):
         if min(levels) < 0:
             raise ConfigError("refinement level must be nonnegative")
         self.cfg = cfg
+        self.tol, self.max_iter, self.precond = _solver_options(cfg)
         self.spec = geometry_from_config(cfg)
         self.mu, self.kernel, self.source = physics_from_config(cfg)
         self.ell = self.spec.layer_depth
@@ -374,8 +376,7 @@ class _ProblemCache:
         for _ in range(max(levels)):
             self.meshes.append(uniform_refine(self.meshes[-1]))
 
-    def solve_case(self, n: int, level: int, exp_al: float, tol: float,
-                   max_iter: int, precond_kind: str) -> CaseResult:
+    def solve_case(self, n: int, level: int, exp_al: float) -> CaseResult:
         basis, coup = self.angular[n]
         mesh = self.meshes[level]
         a = -np.log(exp_al) / self.ell
@@ -384,15 +385,15 @@ class _ProblemCache:
         q_plus, q_minus = project_source(mesh, basis, self.source, isotropic=True)
         params = {
             "n": n, "h": mesh.h, "level": level, "exp_al": exp_al,
-            "a": a, "ell": self.ell, "eta": self.eta, "tol": tol,
-            "precond": precond_kind, "gamma": coeffs.gamma,
+            "a": a, "ell": self.ell, "eta": self.eta, "tol": self.tol,
+            "precond": self.precond, "gamma": coeffs.gamma,
             "big_gamma": coeffs.big_gamma, "n_plus": basis.n_plus,
             "n_minus": basis.n_minus, "coefficient_sampling": "centroid",
             "blas_threads": _blas_threads(),
         }
         params.update({f"config.{k}": v for k, v in self.cfg.data.items()})
-        fld, report = solve_system(blocks, q_plus, q_minus, precond=precond_kind,
-                                   tol=tol, max_iter=max_iter, params=params)
+        fld, report = solve_system(blocks, q_plus, q_minus, precond=self.precond,
+                                   tol=self.tol, max_iter=self.max_iter, params=params)
         return CaseResult(field=fld, report=report, mesh=mesh, basis=basis,
                           blocks=blocks)
 
@@ -417,9 +418,7 @@ def run_case(cfg: RunConfig) -> CaseResult:
     n = cfg.get_int("disc.n")
     level = cfg.get_int("disc.level", 0)
     exp_al = _check_exp_al(cfg.get_floats("pml.exp_al")[0])
-    tol, max_iter, precond = _solver_options(cfg)
-    cache = _ProblemCache(cfg, [level], [n])
-    return cache.solve_case(n, level, exp_al, tol, max_iter, precond)
+    return _ProblemCache(cfg, [level], [n]).solve_case(n, level, exp_al)
 
 
 def _error_vs_reference(cache: _ProblemCache, case: CaseResult, level: int,
@@ -448,6 +447,14 @@ def _error_vs_reference(cache: _ProblemCache, case: CaseResult, level: int,
     return float(np.sqrt(err2))
 
 
+def _row(case: CaseResult, exp_al: float, e_h: float) -> dict:
+    """The study row of one solved case, keyed by the CSV columns."""
+    report = case.report
+    return {"N": case.basis.order, "h": case.mesh.h, "exp_al": exp_al, "e_h": e_h,
+            "iters": report.iterations, "seconds": report.wall_time,
+            "dofs_even": report.dofs_even, "dofs_odd": report.dofs_odd}
+
+
 def convergence_study(cfg: RunConfig, threads: int = 1):
     """Sweep (N, level, exp_al) against a fine nested self-reference.
 
@@ -462,7 +469,6 @@ def convergence_study(cfg: RunConfig, threads: int = 1):
     ref_n = cfg.get_int("study.ref_n")
     ref_level = cfg.get_int("study.ref_level")
     ref_exp_al = _check_exp_al(cfg.get_float("study.ref_exp_al"))
-    tol, max_iter, precond = _solver_options(cfg)
     if ref_level < max(levels):
         raise ConfigError("the reference level must be at least as fine as the sweep")
     if ref_n < max(sweep_n):
@@ -472,33 +478,21 @@ def convergence_study(cfg: RunConfig, threads: int = 1):
     with _one_blas_thread:
         cache = _ProblemCache(cfg, levels + [ref_level], sweep_n + [ref_n])
 
-        ref = cache.solve_case(ref_n, ref_level, ref_exp_al, tol, max_iter, precond)
-        # the error norms read these reference tables: form them before threads share them
-        ref.blocks._t_dense, ref.blocks.g_x
+        ref = cache.solve_case(ref_n, ref_level, ref_exp_al)
         cases = [(n, level, exp_al) for n in sweep_n for level in levels
                  for exp_al in exp_als]
 
         def run_one(args):
             n, level, exp_al = args
-            case = cache.solve_case(n, level, exp_al, tol, max_iter, precond)
-            e_h = _error_vs_reference(cache, case, level, ref, ref_level)
-            return {
-                "N": n, "h": case.mesh.h, "exp_al": exp_al, "e_h": e_h,
-                "iters": case.report.iterations, "seconds": case.report.wall_time,
-                "dofs_even": case.report.dofs_even, "dofs_odd": case.report.dofs_odd,
-            }
+            case = cache.solve_case(n, level, exp_al)
+            return _row(case, exp_al, _error_vs_reference(cache, case, level, ref, ref_level))
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 rows = list(pool.map(run_one, cases))
         else:
             rows = [run_one(c) for c in cases]
-
-        rows.append({
-            "N": ref_n, "h": ref.mesh.h, "exp_al": ref_exp_al, "e_h": 0.0,
-            "iters": ref.report.iterations, "seconds": ref.report.wall_time,
-            "dofs_even": ref.report.dofs_even, "dofs_odd": ref.report.dofs_odd,
-        })
+        rows.append(_row(ref, ref_exp_al, 0.0))
 
     lines = [CSV_HEADER]
     for r in rows:

@@ -330,10 +330,13 @@ def source_iteration(mesh: Mesh2D, coeffs: TransportCoefficients,
     ``q`` may be an analytic spatial callable (integrated accurately along
     rays, restricted to INTERIOR triangles); by default the per-triangle
     source stored in ``coeffs`` is used.  ``initial_inflow`` warm-starts the
-    boundary data (reflective problems only).
+    boundary data of a REFLECT problem; VACUUM means zero inflow, so it
+    refuses one.
     """
     if bc not in (VACUUM, REFLECT):
         raise ValueError(f"unknown boundary condition {bc!r}")
+    if bc == VACUUM and initial_inflow is not None:
+        raise ValueError("initial_inflow is for REFLECT only; VACUUM inflow is zero")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (np.isfinite(tol) and tol > 0):
@@ -357,10 +360,11 @@ def source_iteration(mesh: Mesh2D, coeffs: TransportCoefficients,
     sig0 = coeffs.sigma[:, 0] if coeffs.sigma.size else np.zeros(mesh.n_triangles)
 
     if bc == REFLECT:
+        # factors is zero where s.n >= 0; a sweep reads inflow only where s.n < 0
         s_dot_n = mesh.boundary_normals @ ordinates.directions[:, :2].T  # (nbe, nd)
-        inflow_mask = s_dot_n < 0
+        enters = s_dot_n < 0
         factors = np.zeros_like(s_dot_n)
-        factors[inflow_mask] = reflect_factor(s_dot_n[inflow_mask])
+        factors[enters] = reflect_factor(s_dot_n[enters])
 
     u_tri = np.zeros((mesh.n_triangles, nd))
     u_bdry = np.zeros((nbe, nd))
@@ -374,7 +378,7 @@ def source_iteration(mesh: Mesh2D, coeffs: TransportCoefficients,
                                f"the change is {delta}")
         u_tri, u_bdry = new_tri, new_bdry
         if bc == REFLECT:
-            h = np.where(inflow_mask, factors * u_bdry[:, ordinates.opposite], 0.0)
+            h = factors * u_bdry[:, ordinates.opposite]
         if monitor is not None:
             monitor(it, SampledField(u_tri, u_bdry, ordinates, mesh))
         if delta <= tol:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pnpml.angular import build_basis, coupling_matrices, quadrature_for_order
-from pnpml.assembly import build_operator, explicit_matrices, project_source
+from pnpml.assembly import Field, build_operator, even_l2_norm2, explicit_matrices, project_source
 from pnpml.cli import RunConfig, angular_mean, convergence_study
 from pnpml.mesh import (
     Disk,
@@ -29,7 +29,7 @@ from pnpml.oracle import (
     source_iteration,
 )
 from pnpml.pml import extend_coefficients
-from pnpml.solver import BLOCK_SPATIAL, SchurOperator, solve_system
+from pnpml.solver import BLOCK_SPATIAL, SchurOperator, solve_system, triple_norm2
 
 RNG = np.random.default_rng(12345)
 
@@ -331,6 +331,62 @@ def test_criterion_7_reflection_invariants():
     ok = untouched <= tol and abs(fitted - ell) <= 0.25 * ell
     _line(7, ok, f"untouched-line values {untouched:.2e} <= tol {tol:g}; "
                  f"fitted decay depth {fitted:.4f} vs layer depth {ell} (25% band)")
+
+
+# --------------------------------------------------------------------------
+# the paper's quasi-optimal convergence, on a manufactured solution
+# u = a + s.b with a = (1 - |r|^2/0.36)^4_+ and b = c a: its even part has
+# degree 0 and its odd part degree 1, so it solves the P_N system for N >= 2,
+# and its support lies inside the inner disk, so the layer carries zero
+
+MMS_C = np.array([0.3, -0.2])
+
+
+def _mms_bump(x, y):
+    """a and its gradient."""
+    t = np.maximum(1.0 - (x * x + y * y) / 0.36, 0.0)
+    return t**4, -8.0 / 0.36 * t**3 * x, -8.0 / 0.36 * t**3 * y
+
+
+@pytest.mark.parametrize("kernel", [[1.0], [1.0, 0.3]], ids=["isotropic", "sigma1"])
+def test_manufactured_solution_converges_at_the_p1_p0_rates(kernel):
+    mu, (sig0, sig1) = 2.0, (kernel + [0.0])[:2]
+
+    def q(r, s):
+        # q = s.grad(u) + mu u - sigma_0 a - sigma_1 (s.b)
+        a, ax, ay = _mms_bump(r[0], r[1])
+        cs = MMS_C[0] * s[0] + MMS_C[1] * s[1]
+        return (s[0] * ax + s[1] * ay + mu * a) * (1 + cs) - sig0 * a - sig1 * a * cs
+
+    spec = GeometrySpec(inner=Disk(0, 0, 1.0), outer=Disk(0, 0, 1.2))
+    basis = build_basis(3)
+    couplings = coupling_matrices(basis, quadrature_for_order(3))
+    even0 = basis.even_indices.index((0, 0))
+    odd1 = [basis.odd_indices.index((1, 1)), basis.odd_indices.index((1, -1))]
+    mesh = build_mesh(spec, 0.16)
+    errors = []
+    for level in range(3):
+        if level:
+            mesh = uniform_refine(mesh)
+        coeffs = extend_coefficients(mesh, mu, kernel, 0.0, a=-np.log(1 / 16) / spec.layer_depth)
+        blocks = build_operator(mesh, basis, couplings, coeffs)
+        qp, qm = project_source(mesh, basis, q, isotropic=False)
+        fld, report = solve_system(blocks, qp, qm, precond=BLOCK_SPATIAL, tol=1e-12)
+        assert report.converged
+        # the moments of u: a sqrt(4 pi) on Y_00, c a sqrt(4 pi / 3) on Y_1(+-1)
+        exact = Field.zeros(mesh, basis)
+        exact.even[:, even0] = np.sqrt(4 * np.pi) * _mms_bump(*mesh.vertices.T)[0]
+        exact.odd[:, odd1] = (np.sqrt(4 * np.pi / 3) * _mms_bump(*mesh.centroids.T)[0][:, None]
+                              * MMS_C)
+        err = Field(fld.even - exact.even, fld.odd - exact.odd)
+        errors.append((np.sqrt(triple_norm2(blocks, err) / triple_norm2(blocks, exact)),
+                       np.sqrt(even_l2_norm2(mesh, err.even) / even_l2_norm2(mesh, exact.even))))
+    rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    text = ", ".join(f"{nat:.2f} / {l2:.2f}" for nat, l2 in rates)
+    print(f"\nmanufactured solution, kernel {kernel}: natural-norm / even-L2 rates {text}")
+    # measured 1.25, 1.11 / 1.75, 1.87 (isotropic) and 1.21, 1.09 / 1.72, 1.85
+    # (sigma1): the natural-norm rate tends to 1 and the even L2 rate to 2
+    assert np.all(rates[:, 0] >= 0.95) and np.all(rates[:, 1] >= 1.6), text
 
 
 # --------------------------------------------------------------------------

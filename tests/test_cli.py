@@ -586,6 +586,15 @@ class TestMain:
         path = self._write(tmp_path, STUDY.replace("study.n = 3", "study.n = 3 7"))
         assert main(["--out-dir", str(tmp_path / "out"), "study", path]) == 2
 
+    def test_fractional_study_order_fails_before_solving(self, tmp_path, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("no case may be solved for a fractional order")
+
+        monkeypatch.setattr(pnpml.cli._ProblemCache, "solve_case", no_solve)
+        path = self._write(tmp_path, STUDY.replace("study.n = 3", "study.n = 3.5"))
+        assert main(["--out-dir", str(tmp_path / "out"), "study", path]) == 2
+        assert "study.n: expected integers" in capsys.readouterr().err
+
     def test_nan_source_fails_fast(self, tmp_path, monkeypatch):
         import pnpml.solver
 
@@ -641,8 +650,16 @@ class TestMain:
         ("solver.tol = 1e-7", "solver.max_iter = 0", []),
         ("pml.exp_al = 0.25", "pml.exp_al =", []),
         ("solver.precond = block_spatial", "solver.precond = ilu", []),
+        ("solver.tol = 1e-7", "solver.tol = 0", []),
+        ("geometry.kind = disk", "geometry.kind = hexagon", []),
+        ("physics.source = gaussian 0.75 0 5.0", "physics.source = ring 0 0 1", []),
+        ("physics.mu = 10.1", "physics.preset = honeycomb", []),
+        ("geometry.inner = 0 0 1.0", "geometry.inner = 0 0", []),
+        ("geometry.kind = disk", "geometry.kind = rect", []),
     ], ids=["n-nan", "n-inf", "base_h-nan", "source-word", "kernel-negative",
-            "tol-nan", "tol-flag-nan", "max_iter-zero", "exp_al-empty", "precond-unknown"])
+            "tol-nan", "tol-flag-nan", "max_iter-zero", "exp_al-empty", "precond-unknown",
+            "tol-zero", "kind-unknown", "source-unknown", "preset-unknown", "disk-arity",
+            "rect-arity"])
     def test_malformed_numbers_fail_fast(self, tmp_path, monkeypatch, old, new, flags):
         import pnpml.solver
 

@@ -491,6 +491,27 @@ class TestSourceIteration:
             source_iteration(mesh, coeffs, build_ordinates(2, 4), REFLECT, tol=1e-6,
                              max_iter=500, **kwargs)
 
+    def test_vacuum_refuses_an_initial_inflow_before_a_sweep(self, monkeypatch):
+        import pnpml.oracle
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("no sweep may be built for a vacuum warm start")
+
+        _, mesh, coeffs, src = disk_setup(h=0.5, mu=2.0, sig0=0.0, a=1.0)
+        h0 = np.ones((mesh.boundary_edges.shape[0], 8))
+        monkeypatch.setattr(pnpml.oracle, "SweepOperator", no_sweep)
+        with pytest.raises(ValueError, match="initial_inflow is for REFLECT only"):
+            source_iteration(mesh, coeffs, build_ordinates(2, 4), VACUUM, tol=1e-6, q=src,
+                             initial_inflow=h0)
+
+    def test_spent_budget_raises_with_the_last_change(self):
+        _, mesh, coeffs, src = disk_setup(h=0.5, mu=2.0, sig0=1.0, a=1.0)
+        sweeps = []
+        with pytest.raises(RuntimeError, match="did not converge within 2 sweeps"):
+            source_iteration(mesh, coeffs, build_ordinates(2, 4), VACUUM, tol=1e-12, q=src,
+                             max_iter=2, monitor=lambda it, field: sweeps.append(it))
+        assert sweeps == [1, 2]
+
     def test_non_finite_analytic_source_rejected_before_a_sweep(self):
         _, mesh, coeffs, _ = disk_setup(h=0.5, mu=2.0, sig0=0.5, a=1.0)
         src = lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0)
@@ -558,6 +579,18 @@ class TestSourceIteration:
         assert history[-1] <= 10 * tol
         assert history[-1] < 1e-3 * history[0]
 
+    def test_reflective_iteration_is_pinned(self):
+        # the reflection rule in the scattering regime (c = 0.99): the sweep
+        # count and two sums of the field pin the reflective oracle's output
+        _, mesh, coeffs, src = disk_setup(h=0.25, mu=10.1, sig0=10.0,
+                                          a=-np.log(1 / 16) / disk_spec().layer_depth)
+        sweeps = []
+        field = source_iteration(mesh, coeffs, build_ordinates(4, 8), REFLECT, tol=1e-8,
+                                 q=src, monitor=lambda it, _: sweeps.append(it))
+        assert len(sweeps) == 539
+        assert ordinate_mean(field).sum() == pytest.approx(561.0205752800393, rel=1e-10)
+        assert boundary_trace_norm(field) == pytest.approx(0.07195887750900812, rel=1e-10)
+
 
 class TestConsistencyError:
     def test_identical_fields(self):
@@ -578,6 +611,16 @@ class TestConsistencyError:
         f2 = source_iteration(mesh, coeffs, o2, VACUUM, tol=1e-10, q=src)
         with pytest.raises(ValueError):
             consistency_error(f1, f2, tmap)
+
+    def test_triangle_map_of_the_wrong_length_rejected(self):
+        _, mesh, coeffs, src = disk_setup(h=0.5, mu=2.0, sig0=0.0, a=1.0)
+        sub, _, tmap = submesh_interior(mesh)
+        ords = build_ordinates(2, 4)
+        inner = source_iteration(sub, extend_coefficients(sub, 2.0, 0.0, src, a=1.0),
+                                 ords, VACUUM, tol=1e-10, q=src)
+        full = source_iteration(mesh, coeffs, ords, VACUUM, tol=1e-10, q=src)
+        with pytest.raises(ValueError, match="triangle map does not match"):
+            consistency_error(inner, full, tmap[:-1])
 
     def test_layer_absorption_sweep(self):
         # doubling a: error drops at least first order in e^{-a ell} (factor-2
