@@ -1,6 +1,6 @@
 """Independent reference solvers: exact characteristics for pure absorption
-and a discrete-ordinates source iteration with vacuum or reflective
-boundaries.
+and a discrete-ordinates solve with isotropic scattering and vacuum or
+reflective boundaries, its transport fixed point solved by GMRES.
 
 Rays are traced by a walk over the triangle adjacency.  The sweep's rays
 depend only on the mesh and the planar direction, so each direction is traced
@@ -8,8 +8,8 @@ once per mesh and cached with the mesh's other derived tables; every sweep
 built on that mesh, at any absorption, reuses it.  Absorption is integrated
 exactly per crossed triangle (piecewise-constant data) and smooth external
 sources by per-segment Gauss quadrature.  The distinct sweeps are frozen into
-one stacked sparse matrix, so each source-iteration step is one sparse
-product and a few gathers.  A cache entry is stored only once it is complete,
+one stacked sparse matrix, so each transport sweep is one sparse product and
+a few gathers.  A cache entry is stored only once it is complete,
 so concurrent builds on one mesh are safe; two of them may trace the same
 direction, and either result serves.
 """
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import roots_legendre
 
 from pnpml.angular import sphere_quadrature
@@ -43,6 +44,9 @@ __all__ = [
 _gx, _gw = roots_legendre(4)
 # 4-point Gauss rule on a unit segment
 _GAUSS_NODES, _GAUSS_WEIGHTS = 0.5 * (_gx + 1.0), 0.5 * _gw
+# GMRES restart length: scipy keeps _RESTART + 1 Krylov vectors of the
+# oracle's unknown, so its memory stays bounded on fine meshes
+_RESTART = 80
 VACUUM = "vacuum"
 REFLECT = "reflect"
 
@@ -309,7 +313,16 @@ class SweepOperator:
         return vals[:nt], vals[nt:]
 
 
-def _iteration_cap(coeffs: TransportCoefficients) -> int:
+def _sweep_budget(coeffs: TransportCoefficients, tol: float) -> int:
+    """The default sweep budget of :func:`source_iteration`: twice the larger
+    of one restart cycle and log(tol) / log(c), the sweeps that source
+    iteration contracting by the worst scattering ratio c = max sigma_0/mu
+    needs to shrink a residual by ``tol``.  GMRES's residual after k Krylov
+    sweeps is no larger than that of k source-iteration steps, since
+    (1 - z)^k is one of the polynomials it minimises over; the factor two
+    pays for the sweep at the start and the one that closes each restart
+    cycle, and the floor of one cycle for a reflective round trip that
+    contracts more slowly than c."""
     mu = coeffs.mu
     sig0 = coeffs.sigma[:, 0] if coeffs.sigma.size else np.zeros_like(mu)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -317,21 +330,46 @@ def _iteration_cap(coeffs: TransportCoefficients) -> int:
     worst = float(ratio.max(initial=0.0))
     if worst >= 1.0:
         raise ValueError("supercritical scattering: sigma_0 >= mu somewhere")
-    return 10 * int(np.ceil(1.0 / (1.0 - worst)))
+    steps = int(np.ceil(np.log(tol) / np.log(worst))) if 0.0 < worst and tol < 1.0 else 0
+    return 2 * max(_RESTART, steps)
+
+
+class _BudgetSpent(Exception):
+    """A sweep was asked for beyond the sweep budget."""
 
 
 def source_iteration(mesh: Mesh2D, coeffs: TransportCoefficients,
                      ordinates: OrdinateSet, bc: str, tol: float,
                      q=None, max_iter: int | None = None,
                      monitor=None, initial_inflow: np.ndarray | None = None) -> SampledField:
-    """Fixed-point transport iteration with isotropic scattering.
+    """Discrete-ordinates transport with isotropic scattering, its fixed point
+    solved by GMRES.
 
     ``bc`` selects vacuum inflow or the reflection rule on the mesh boundary.
     ``q`` may be an analytic spatial callable (integrated accurately along
     rays, restricted to INTERIOR triangles); by default the per-triangle
     source stored in ``coeffs`` is used.  ``initial_inflow`` warm-starts the
-    boundary data of a REFLECT problem; VACUUM means zero inflow, so it
-    refuses one.
+    boundary data of a REFLECT problem, shape (n_boundary_edges, n_dirs);
+    VACUUM means zero inflow, so it refuses one.
+
+    The unknown x is the per-triangle scalar flux phi and, for REFLECT, the
+    reflected inflow h flattened from (n_boundary_edges, n_dirs).  One
+    transport sweep from x gives g(x): the flux of the swept field and the
+    reflection of its boundary values.  GMRES (restarted every ``_RESTART``
+    Krylov vectors) solves x = g(x) through d -> d - (g(x0 + d) - g(x0)) with
+    x0 = (0, initial_inflow), an operator that leaves the analytic source
+    out.  ``tol`` is the relative residual of the fixed point: the result
+    satisfies |g(x) - x| <= tol |g(x0) - x0| in the 2-norm, and the returned
+    field is the sweep from that x.
+
+    ``monitor(k, field)`` is called once per transport sweep, the k-th with
+    the field it swept: the first sweep is the one from x0, the last the
+    returned field, and those between sweep Krylov directions.
+    ``max_iter`` caps the number of sweeps, the last included; by default
+    the cap is :func:`_sweep_budget`, which refuses supercritical scattering.
+    A spent budget raises ``RuntimeError`` ("did not converge within n
+    sweeps"), and so does a sweep that is not finite ("broke down at sweep
+    k"), before ``monitor`` sees it.
     """
     if bc not in (VACUUM, REFLECT):
         raise ValueError(f"unknown boundary condition {bc!r}")
@@ -343,21 +381,25 @@ def source_iteration(mesh: Mesh2D, coeffs: TransportCoefficients,
         raise ValueError(f"tol must be positive and finite, got {tol}")
     nd = ordinates.n_dirs
     nbe = mesh.boundary_edges.shape[0]
+    nt = mesh.n_triangles
     if callable(q):
-        base_src, src_name = np.zeros(mesh.n_triangles), "q"
+        base_src, src_name = np.zeros(nt), "q"
     else:
         base_src = coeffs.source if q is None else np.asarray(q, dtype=float)
         src_name = "coeffs.source" if q is None else "q"
     h = np.zeros((nbe, nd)) if initial_inflow is None else np.array(initial_inflow, dtype=float)
-    # non-finite data would otherwise only show as a NaN change once the
-    # whole budget is spent; an analytic q is checked where the sweep samples it
+    if h.shape != (nbe, nd):
+        raise ValueError(f"initial_inflow must have shape {(nbe, nd)}, got {h.shape}")
+    # non-finite data would otherwise only show as a broken-down sweep; an
+    # analytic q is checked where the sweep samples it
     for name, value in (("coeffs.mu", coeffs.mu), ("coeffs.sigma", coeffs.sigma),
                         (src_name, base_src), ("initial_inflow", h)):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} is not finite")
-    cap = max_iter if max_iter is not None else _iteration_cap(coeffs)
+    cap = max_iter if max_iter is not None else _sweep_budget(coeffs, tol)
     sweep = SweepOperator(mesh, coeffs.mu, ordinates, q_analytic=q if callable(q) else None)
-    sig0 = coeffs.sigma[:, 0] if coeffs.sigma.size else np.zeros(mesh.n_triangles)
+    sig0 = coeffs.sigma[:, 0] if coeffs.sigma.size else np.zeros(nt)
+    scatter = sig0 / (4 * np.pi)
 
     if bc == REFLECT:
         # factors is zero where s.n >= 0; a sweep reads inflow only where s.n < 0
@@ -366,25 +408,52 @@ def source_iteration(mesh: Mesh2D, coeffs: TransportCoefficients,
         factors = np.zeros_like(s_dot_n)
         factors[enters] = reflect_factor(s_dot_n[enters])
 
-    u_tri = np.zeros((mesh.n_triangles, nd))
-    u_bdry = np.zeros((nbe, nd))
-    for it in range(1, cap + 1):
-        scatter = base_src + sig0 / (4 * np.pi) * (u_tri @ ordinates.weights)
-        new_tri, new_bdry = sweep.apply(scatter, h)
-        delta = max(np.max(np.abs(new_tri - u_tri)),
-                    np.max(np.abs(new_bdry - u_bdry)) if nbe else 0.0)
-        if not np.isfinite(delta):
-            raise RuntimeError(f"source iteration broke down at sweep {it}: "
-                               f"the change is {delta}")
-        u_tri, u_bdry = new_tri, new_bdry
-        if bc == REFLECT:
-            h = factors * u_bdry[:, ordinates.opposite]
+    # the sweeps made, the input x, g(x) and field of the latest one, and the
+    # latest estimate of |g(x) - x| / |g(x0) - x0|
+    last = {"sweeps": 0, "residual": 1.0}
+
+    def g(x: np.ndarray) -> np.ndarray:
+        k = last["sweeps"] + 1
+        if k > cap:
+            raise _BudgetSpent
+        last["sweeps"] = k
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_tri, u_bdry = sweep.apply(base_src + scatter * x[:nt],
+                                        x[nt:].reshape(nbe, nd) if bc == REFLECT else h)
+            gx = u_tri @ ordinates.weights
+            if bc == REFLECT:
+                gx = np.concatenate([gx, (factors * u_bdry[:, ordinates.opposite]).ravel()])
+            change = np.max(np.abs(gx - x))
+        if not (np.isfinite(change) and np.all(np.isfinite(u_bdry))):
+            raise RuntimeError(f"source iteration broke down at sweep {k}: "
+                               f"the change is {change}")
+        last.update(x=x, gx=gx, field=SampledField(u_tri, u_bdry, ordinates, mesh))
         if monitor is not None:
-            monitor(it, SampledField(u_tri, u_bdry, ordinates, mesh))
-        if delta <= tol:
-            return SampledField(u_tri, u_bdry, ordinates, mesh)
-    raise RuntimeError(f"source iteration did not converge within {cap} sweeps "
-                       f"(last change {delta:.3e} > tol {tol:g})")
+            monitor(k, last["field"])
+        return gx
+
+    x = np.concatenate([np.zeros(nt), h.ravel()]) if bc == REFLECT else np.zeros(nt)
+    try:
+        r = g(x) - x
+        r0 = res = float(np.linalg.norm(r))
+        while res > tol * r0:
+            base, g_base = x, last["gx"]
+            op = LinearOperator((x.size, x.size), dtype=float,
+                                matvec=lambda d: d - (g(base + d) - g_base))
+            d, _ = gmres(op, r, rtol=0.0, atol=tol * r0, restart=_RESTART, maxiter=cap,
+                         callback=lambda pr: last.update(residual=pr * res / r0),
+                         callback_type="pr_norm")
+            x = base + d
+            # GMRES closes with the true residual, a sweep from x
+            if not np.array_equal(last["x"], x):
+                g(x)
+            r = last["gx"] - x
+            res = float(np.linalg.norm(r))
+            last["residual"] = res / r0
+    except _BudgetSpent:
+        raise RuntimeError(f"source iteration did not converge within {cap} sweeps "
+                           f"(relative residual {last['residual']:.3e} > tol {tol:g})") from None
+    return last["field"]
 
 
 def _locate_triangle(mesh: Mesh2D, r: np.ndarray) -> int:
