@@ -127,7 +127,8 @@ class BlockOperator:
     The fields are the inputs.  Each derived table is a cached property,
     formed once, on first use, so an operator whose blocks a solve never
     reads (the full basis, when only a z-parity class carries load) stays
-    as small as its inputs."""
+    as small as its inputs, and ``dataclasses.replace(op, collision=w)``
+    regroups the classes and forms the mass blocks anew for the weights w."""
 
     mesh: Mesh2D
     basis: AngularBasis

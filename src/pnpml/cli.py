@@ -41,7 +41,6 @@ from pnpml.mesh import (
     GeometrySpec,
     Mesh2D,
     Rect,
-    _check_size,
     build_mesh,
     p0_prolong,
     p1_prolong,
@@ -369,8 +368,7 @@ class _ProblemCache:
                         for n, basis in bases.items()}
         try:
             self.meshes = [build_mesh(self.spec, cfg.get_float("disc.base_h"))]
-            # level k holds 4**k times the base triangles: refuse before refining
-            _check_size(self.meshes[0].n_triangles * 4 ** max(levels))
+            self.meshes[0].check_refinement(max(levels))
         except GeometryError as exc:
             raise ConfigError(str(exc)) from exc
         for _ in range(max(levels)):
@@ -461,6 +459,8 @@ def convergence_study(cfg: RunConfig, threads: int = 1):
     Returns (rows, csv_text); each row is a dict with the CSV fields.  The
     solves and error norms run with every OpenBLAS pool on one thread, the
     previous counts restored on return; ``threads`` workers run the cases.
+    ``solve`` and ``export`` keep the BLAS default, because one large
+    solve's GEMM gains from a second thread.
     """
     cfg.check_keys()
     sweep_n = cfg.get_ints("study.n")

@@ -239,6 +239,17 @@ class Mesh2D:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
+    def check_refinement(self, levels: int) -> None:
+        """Raise GeometryError, before any refinement is made, when ``levels``
+        uniform refinements of this mesh would hold more than MAX_TRIANGLES
+        triangles.  Each refinement quadruples the count and
+        4**MAX_TRIANGLES.bit_length() already exceeds the cap, so the
+        exponent is capped there: a huge ``levels`` decides the same and
+        4**levels is never formed."""
+        if self.n_triangles * 4 ** min(levels, MAX_TRIANGLES.bit_length()) > MAX_TRIANGLES:
+            raise GeometryError(f"refinement level {levels} of a {self.n_triangles}-triangle "
+                                f"mesh exceeds MAX_TRIANGLES = {MAX_TRIANGLES}")
+
     @cached_property
     def areas(self) -> np.ndarray:
         # edge 2 runs from corner 2 to corner 0, so c - a = -(ex2, ey2)
@@ -269,7 +280,9 @@ class Mesh2D:
 
     @cached_property
     def _edges(self) -> _EdgeTable:
-        """The edge table, built on first use."""
+        """The edge table, built on first use.  The boundary record, the
+        conformity check, refinement, the P1 prolongation, the P1 pattern and
+        the oracle's neighbour table all read it."""
         starts = self.triangles.ravel()
         ends = np.roll(self.triangles, -1, axis=1).ravel()
         keys = np.minimum(starts, ends) * self.n_vertices + np.maximum(starts, ends)
@@ -349,7 +362,9 @@ class Mesh2D:
 
     @cached_property
     def _corners(self) -> np.ndarray:
-        """Corners x, y and edge vectors ex, ey (edge k: corner k to k + 1), (nt, 4, 3)."""
+        """Corners x, y and edge vectors ex, ey (edge k: corner k to k + 1),
+        (nt, 4, 3); areas, centroids, the P1 gradients and the oracle's ray
+        walk read it."""
         x, y = self.vertices[self.triangles, 0], self.vertices[self.triangles, 1]
         return np.stack([x, y, x[:, [1, 2, 0]] - x, y[:, [1, 2, 0]] - y], axis=1)
 
@@ -418,9 +433,21 @@ def _check_size(n_triangles: int):
         raise GeometryError(f"{n_triangles} triangles exceed MAX_TRIANGLES = {MAX_TRIANGLES}")
 
 
+def _cells(length: float, h: float, what: str) -> int:
+    """round(length / h), the number of cells of size h along length.  The
+    mesh holds at least that many triangles, so a ratio above MAX_TRIANGLES,
+    or one that is infinite because h is subnormal, raises before it is
+    rounded."""
+    ratio = length / h
+    if not ratio <= MAX_TRIANGLES:
+        raise GeometryError(f"{what} ({length}) spans {ratio:.3g} cells of size {h}, "
+                            f"more than MAX_TRIANGLES = {MAX_TRIANGLES}")
+    return round(ratio)
+
+
 def _build_disk_mesh(inner: Disk, outer: Disk, h: float) -> Mesh2D:
-    k_in = max(1, round(inner.radius / h))
-    k_lay = max(1, round((outer.radius - inner.radius) / (inner.radius / k_in)))
+    k_in = max(1, _cells(inner.radius, h, "inner radius"))
+    k_lay = max(1, _cells(outer.radius - inner.radius, inner.radius / k_in, "layer depth"))
     _check_size(6 * (k_in + k_lay) ** 2)  # ring i holds 6 (2i - 1) triangles
     radii = np.concatenate([
         np.linspace(0.0, inner.radius, k_in + 1),
@@ -465,8 +492,7 @@ def _build_disk_mesh(inner: Disk, outer: Disk, h: float) -> Mesh2D:
 
 
 def _check_aligned(value: float, h: float, what: str):
-    ratio = value / h
-    if abs(ratio - round(ratio)) > 1e-9:
+    if abs(value / h - _cells(value, h, what)) > 1e-9:
         raise GeometryError(f"{what} ({value}) must be an integer multiple of h ({h})")
 
 
@@ -513,7 +539,7 @@ def uniform_refine(mesh: Mesh2D) -> Mesh2D:
     edge k of the coarse edge table, and the central child of triangle t is
     child 4*t + 3, which keeps nested prolongation exact.  The fine mesh
     records ``mesh`` as its parent."""
-    _check_size(4 * mesh.n_triangles)
+    mesh.check_refinement(1)
     a, b, c = mesh.triangles.T
     ab, bc, ca = (mesh.n_vertices + mesh._edges.tri_edges).T
     tris = np.column_stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca]).reshape(-1, 3)

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -246,13 +247,16 @@ class TestStudy:
             assert r1["e_h"] == r2["e_h"]
             assert r1["iters"] == r2["iters"]
 
-    def test_threads_do_not_change_results(self):
-        cfg = RunConfig.parse(STUDY)
+    @pytest.mark.parametrize("kernel", ["10.0", "10 3 1"])
+    def test_threads_do_not_change_results(self, kernel):
+        # a study runs BLAS on one thread whatever `threads` is, so two study
+        # workers and one give the same rows; only the seconds column may differ
+        cfg = RunConfig.parse(STUDY.replace("physics.kernel = 10.0", f"physics.kernel = {kernel}"))
         rows1, _ = convergence_study(cfg, threads=1)
         rows2, _ = convergence_study(cfg, threads=2)
-        for r1, r2 in zip(rows1, rows2):
-            assert r1["e_h"] == r2["e_h"]
-            assert r1["iters"] == r2["iters"]
+        without_seconds = [[{k: v for k, v in row.items() if k != "seconds"} for row in rows]
+                           for rows in (rows1, rows2)]
+        assert without_seconds[0] == without_seconds[1]
 
     def test_refines_each_level_of_the_chain_once(self, monkeypatch):
         import pnpml.cli
@@ -449,6 +453,25 @@ solver.precond = block_spatial
 """
 
 
+# an anisotropic kernel on a refined mesh: odd classes that do not hold every
+# odd mode keep two cross terms, and narrow even classes are gathers
+ANISO = """
+geometry.kind = disk
+geometry.inner = 0 0 1.0
+geometry.outer = 0 0 1.2
+physics.mu = 10.1
+physics.kernel = 10 3 1
+physics.source = gaussian 0.75 0 5.0
+disc.base_h = 0.08
+disc.n = 5
+disc.level = 1
+pml.exp_al = 0.03125
+solver.tol = 1e-7
+solver.max_iter = 20000
+solver.precond = block_spatial
+"""
+
+
 class TestLatticeDeskRun:
     def test_mean_decays_into_layer_without_oscillations(self, tmp_path):
         cfg = RunConfig.parse(LATTICE)
@@ -548,6 +571,28 @@ class TestMain:
         assert main(["--out-dir", str(tmp_path / "out"), command, path]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    # More iterations or stored entries than these solves take fail; fewer
+    # pass.  The lattice's scattering cells (w_0 = 0) and right triangles
+    # leave zero sums on much of the P1 pattern, which the stacked Schur
+    # terms, the gathers, the smoother levels and the coarse LU do not store
+    @pytest.mark.parametrize("text, warning, bounds", [
+        (ANISO, None, {"iterations": 34, "precond_factor_nnz": 58_998}),
+        (LATTICE.replace("disc.base_h = 0.0625", "disc.base_h = 0.25")
+         .replace("disc.level = 0", "disc.level = 1"), "gamma <= 0",
+         {"iterations": 36, "schur_nnz": 110_495, "precond_factor_nnz": 71_856}),
+    ], ids=["aniso", "lattice"])
+    def test_solve_stays_within_its_gates(self, tmp_path, text, warning, bounds):
+        path = self._write(tmp_path, text)
+        with pytest.warns(UserWarning, match=warning) if warning else contextlib.nullcontext():
+            assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 0
+        log = (tmp_path / "out" / "run_log.txt").read_text().splitlines()
+        entries = dict(line.split(" = ", 1) for line in log if " = " in line)
+        used = {key: int(entries[key]) for key in bounds}
+        assert all(used[key] <= bound for key, bound in bounds.items()), used
+        assert float(entries["peak_rss_mb"]) > 0
+        # the OpenBLAS thread count of the solve, "unknown" without OpenBLAS
+        assert entries["blas_threads"]
+
     def test_config_keys_are_the_keys_the_runner_reads(self):
         import re
 
@@ -639,6 +684,23 @@ class TestMain:
         assert main(["--out-dir", str(tmp_path / "out"), "solve", path]) == 2
         assert "MAX_TRIANGLES" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text", [
+        ("solve", EXAMPLE1.replace("disc.level = 0", "disc.level = 10000")),
+        ("study", STUDY.replace("study.ref_level = 1", "study.ref_level = 10000")),
+    ], ids=["solve", "study"])
+    def test_huge_refinement_level_fails_before_any_refinement(self, tmp_path, monkeypatch,
+                                                               capsys, command, text):
+        # 4**10000 has more digits than int() may format; the chain is refused
+        # without forming it, and the message names the level
+        def no_refine(mesh):
+            raise AssertionError("no level may be refined when the chain is refused")
+
+        monkeypatch.setattr(pnpml.cli, "uniform_refine", no_refine)
+        path = self._write(tmp_path, text)
+        assert main(["--out-dir", str(tmp_path / "out"), command, path]) == 2
+        err = capsys.readouterr().err
+        assert "level 10000" in err and "MAX_TRIANGLES" in err
+
     @pytest.mark.parametrize("old, new, flags", [
         ("disc.n = 3", "disc.n = nan", []),
         ("disc.n = 3", "disc.n = 1e400", []),
@@ -656,10 +718,11 @@ class TestMain:
         ("physics.mu = 10.1", "physics.preset = honeycomb", []),
         ("geometry.inner = 0 0 1.0", "geometry.inner = 0 0", []),
         ("geometry.kind = disk", "geometry.kind = rect", []),
+        ("disc.base_h = 0.2", "disc.base_h = 5e-324", []),
     ], ids=["n-nan", "n-inf", "base_h-nan", "source-word", "kernel-negative",
             "tol-nan", "tol-flag-nan", "max_iter-zero", "exp_al-empty", "precond-unknown",
             "tol-zero", "kind-unknown", "source-unknown", "preset-unknown", "disk-arity",
-            "rect-arity"])
+            "rect-arity", "base_h-subnormal"])
     def test_malformed_numbers_fail_fast(self, tmp_path, monkeypatch, old, new, flags):
         import pnpml.solver
 

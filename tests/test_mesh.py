@@ -247,6 +247,12 @@ class TestSizeCap:
         with pytest.raises(GeometryError, match="mesh size"):
             build_mesh(spec, h)
 
+    @pytest.mark.parametrize("spec", [example1_spec(), rect_spec()], ids=["disk", "rect"])
+    def test_subnormal_mesh_size_fails_fast(self, spec):
+        # length / 5e-324 is infinite: refused before it is rounded to a count
+        with pytest.raises(GeometryError, match="inf cells .* MAX_TRIANGLES"):
+            build_mesh(spec, 5e-324)
+
     @pytest.mark.parametrize("spec, h", SMALL_MESHES, ids=["disk", "rect"])
     def test_predicted_count_is_the_built_count(self, spec, h, monkeypatch):
         n = build_mesh(spec, h).n_triangles

@@ -646,6 +646,19 @@ class TestSourceIteration:
         assert ordinate_mean(field).sum() == pytest.approx(561.0208093088846, rel=1e-10)
         assert boundary_trace_norm(field) == pytest.approx(0.07195888825047102, rel=1e-10)
 
+    def test_vacuum_scattering_regime_is_pinned(self):
+        # c = 0.99 on a finer mesh than the tests above, without the layer:
+        # the sweep count and the summed angular mean pin the oracle's output.
+        # Source iteration run to a change of 1e-13 gives 4779.431565743941
+        _, mesh, _, src = disk_setup(h=0.08, mu=10.1, sig0=10.0, a=0.0)
+        sub, _, _ = submesh_interior(mesh)
+        sweeps = []
+        field = source_iteration(sub, extend_coefficients(sub, 10.1, 10.0, src, a=0.0),
+                                 build_ordinates(8, 16), VACUUM, tol=1e-8, q=src,
+                                 monitor=lambda it, _: sweeps.append(it))
+        assert len(sweeps) == 32
+        assert ordinate_mean(field).sum() == pytest.approx(4779.431565672035, rel=1e-10)
+
 
 class TestConsistencyError:
     def test_identical_fields(self):

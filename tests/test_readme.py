@@ -1,10 +1,20 @@
-"""The README's examples: "Library use" runs as written and converges, and
-the complete config example holds only keys and values the runner accepts."""
+"""The README's examples: "Library use" runs as written and converges, the
+complete config example holds only keys and values the runner accepts, and
+the README names every config key and command-line flag the runner takes."""
 
 import re
 from pathlib import Path
 
-from pnpml.cli import RunConfig, _solver_options, geometry_from_config, physics_from_config
+import pytest
+
+from pnpml.cli import (
+    CONFIG_KEYS,
+    RunConfig,
+    _solver_options,
+    geometry_from_config,
+    main,
+    physics_from_config,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +43,14 @@ def test_complete_config_example_is_accepted():
     assert _solver_options(cfg) == (1e-7, 20000, "block_spatial")
     geometry_from_config(cfg)
     physics_from_config(cfg)
+
+
+def test_every_config_key_and_flag_is_named(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert {"--tol", "--precond", "--out-dir", "--threads"} <= flags
+    text = README.read_text()
+    missing = [name for name in sorted(CONFIG_KEYS | flags)
+               if not re.search(rf"(?<![\w.-]){re.escape(name)}(?![\w-])", text)]
+    assert not missing
